@@ -13,7 +13,6 @@ from .ilp import (
     build_ilp,
     solve,
     solve_instance,
-    solver_backend_adapter,
 )
 from .model import (
     AgentMdp,
@@ -24,6 +23,7 @@ from .model import (
     StateRisk,
     interaction_product,
     reachable_layers,
+    state_risk_tilde,
     validate_instance,
 )
 from .oracles import brute_force_optimal, dp_optimal_utility, fcfs_plan
@@ -45,7 +45,6 @@ from .risk import (
     expected_utility,
     linear_risk_from_flows,
     policy_flows,
-    state_risk_tilde,
     transition_tilde,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "reachable_layers",
     "solve",
     "solve_instance",
-    "solver_backend_adapter",
     "state_risk_tilde",
     "transition_tilde",
     "validate_instance",

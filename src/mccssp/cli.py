@@ -3,7 +3,7 @@ intersection benchmarks, drive the flow-tube data pipeline, and run the
 oracle-equivalence selftest.
 
 All randomized commands take --seed and emit deterministic output for a
-fixed seed and solver (timing columns are wall-clock and flagged as such
+fixed seed (timing columns are wall-clock and flagged as such
 in the header comment).  Exit codes: 0 success, 1 validation/input error,
 2 solver failure.
 """
@@ -44,7 +44,7 @@ def _parse_floats(text: str) -> list:
 
 
 def cmd_solve(args) -> int:
-    from .ilp import SolverFailure, get_backend, solve_instance
+    from .ilp import SolverFailure, solve_instance
     from .io import load_instance
     from .model import reachable_layers, validate_instance
 
@@ -71,10 +71,7 @@ def cmd_solve(args) -> int:
             handle.write(model.matrix.to_lp_text())
         print(f"wrote {args.export_lp}")
     try:
-        backend = get_backend(args.solver)
-        result = solve_instance(
-            instance, layers, backend=backend, time_limit=args.time_limit
-        )
+        result = solve_instance(instance, layers, time_limit=args.time_limit)
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
@@ -122,7 +119,6 @@ def cmd_grid_bench(args) -> int:
         spec,
         agent_counts=_parse_range(args.agents),
         horizons=_parse_range(args.horizon),
-        solver=args.solver,
         time_limit=args.time_limit,
     )
     columns = ["n_agents", "horizon", "build_s", "solve_s", "objective", "risk", "status"]
@@ -299,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("instance")
-    p.add_argument("--solver", default=None)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--oracle", action="store_true", help="cross-check small instances")
     p.add_argument("--policy", action="store_true", help="print the full policy")
@@ -314,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.2)
     p.add_argument("--risky-risk", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--solver", default=None)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_grid_bench)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ilp import build_ilp, get_backend, solve
+from .ilp import BudgetExhausted, SolveResult, build_ilp, solve
 from .model import (
     AgentMdp,
     InteractionPoint,
@@ -195,15 +195,14 @@ def benchmark_rows(
     base: GridSpec,
     agent_counts: list,
     horizons: list,
-    solver: str | None = None,
     time_limit: float | None = None,
 ) -> list:
     """Sweep agents x horizons; one dict per cell with build/solve timings.
 
     Starts are drawn once for the largest agent count so smaller sweeps
-    nest inside larger ones.
+    nest inside larger ones.  A cell whose start states alone exceed the
+    budget gets status budget_exhausted and no solve.
     """
-    backend = get_backend(solver)
     rng = np.random.default_rng(base.seed)
     max_agents = max(agent_counts)
     starts = [
@@ -218,9 +217,15 @@ def benchmark_rows(
             instance = generate_grid_instance(spec)
             t0 = time.perf_counter()
             layers = reachable_layers(instance)
-            model = build_ilp(instance, layers)
+            try:
+                model = build_ilp(instance, layers)
+            except BudgetExhausted:
+                model = None
             build_s = time.perf_counter() - t0
-            result = solve(model, backend=backend, time_limit=time_limit)
+            if model is None:
+                result = SolveResult(status="budget_exhausted")
+            else:
+                result = solve(model, time_limit=time_limit)
             rows.append(
                 {
                     "n_agents": n_agents,

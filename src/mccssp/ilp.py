@@ -1,6 +1,6 @@
 """Exact mixed-integer formulation of the chance-constrained multi-agent
-problem over reachable layers, plus a backend-neutral matrix form and the
-default HiGHS solve path.
+problem over reachable layers, its sparse matrix form, and the HiGHS
+solve path.
 
 Variables: one continuous flow x per (interaction, flow index, time, state,
 action) where flow index 0 carries utility and each criterion has its own
@@ -14,13 +14,13 @@ agent.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.optimize
+from scipy import sparse
 
 from .model import (
     LayeredSpace,
@@ -32,7 +32,6 @@ from .risk import Policy, execution_risk
 
 DEFAULT_MIP_REL_GAP = 1e-6
 RISK_VERIFY_SLACK = 1e-6
-SOLVER_ENV_VAR = "MCCSSP_SOLVER"
 
 
 class BudgetExhausted(ValueError):
@@ -45,12 +44,12 @@ class BudgetExhausted(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """The backend failed or returned something unusable."""
+    """HiGHS failed or returned something unusable."""
 
 
 @dataclass
 class MatrixForm:
-    """Backend-neutral sparse model: columns with bounds/integrality, an
+    """Sparse maximization model: columns with bounds/integrality, an
     objective, and rows as (name, lower, upper, [(col, coeff), ...])."""
 
     col_names: list
@@ -59,7 +58,6 @@ class MatrixForm:
     integrality: list  # 0 continuous, 1 integer
     objective: list
     rows: list
-    maximize: bool = True
 
     @property
     def n_cols(self) -> int:
@@ -69,39 +67,6 @@ class MatrixForm:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "col_names": self.col_names,
-                "lower": self.lower,
-                "upper": self.upper,
-                "integrality": self.integrality,
-                "objective": self.objective,
-                "rows": [
-                    [name, lo, hi, [[c, v] for c, v in coeffs]]
-                    for name, lo, hi, coeffs in self.rows
-                ],
-                "maximize": self.maximize,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MatrixForm":
-        data = json.loads(text)
-        rows = [
-            (name, lo, hi, [(int(c), float(v)) for c, v in coeffs])
-            for name, lo, hi, coeffs in data["rows"]
-        ]
-        return cls(
-            col_names=list(data["col_names"]),
-            lower=[float(v) for v in data["lower"]],
-            upper=[float(v) for v in data["upper"]],
-            integrality=[int(v) for v in data["integrality"]],
-            objective=[float(v) for v in data["objective"]],
-            rows=rows,
-            maximize=bool(data["maximize"]),
-        )
-
     def to_lp_text(self) -> str:
         """Standard LP text format, for debugging with external tools."""
 
@@ -109,7 +74,7 @@ class MatrixForm:
             sign = "-" if coef < 0 else ("" if lead else "+")
             return f"{sign} {abs(coef):.17g} {name}"
 
-        lines = ["Maximize" if self.maximize else "Minimize"]
+        lines = ["Maximize"]
         obj = " ".join(
             term(c, self.col_names[idx], idx == 0)
             for idx, c in enumerate(self.objective)
@@ -154,7 +119,6 @@ class IlpModel:
     z_index: dict  # (interaction, k, state, action) -> column
     matrix: MatrixForm
     delta_tilde: dict
-    include_terminal_risk: bool = True
 
     @property
     def x_count(self) -> int:
@@ -182,7 +146,6 @@ class SolveResult:
 def build_ilp(
     instance: MccSspInstance,
     layers: LayeredSpace | None = None,
-    include_terminal_risk: bool = True,
 ) -> IlpModel:
     """Assemble the exact formulation over reachable layers.
 
@@ -194,16 +157,12 @@ def build_ilp(
     criteria = instance.criteria
     flow_ids = (None,) + criteria  # None is the utility flow
 
-    rt = {}  # (interaction, criterion, state) -> aggregate risk
-    for layers_i in layers:
-        for j in criteria:
-            for layer in layers_i.layers:
-                for s in layer:
-                    rt[(layers_i.id, j, s)] = layers_i.view.state_risk(j, s)
+    # interaction -> criterion -> state -> aggregate risk
+    rt = {layers_i.id: {j: layers_i.state_risks(j) for j in criteria} for layers_i in layers}
 
     delta_tilde = {}
     for j in criteria:
-        init = sum(rt[(layers_i.id, j, layers_i.layers[0][0])] for layers_i in layers)
+        init = sum(rt[layers_i.id][j][layers_i.layers[0][0]] for layers_i in layers)
         delta_tilde[j] = instance.risk_budgets[j] - init
     if any(slack < 0 for slack in delta_tilde.values()):
         raise BudgetExhausted(delta_tilde)
@@ -240,7 +199,7 @@ def build_ilp(
     rows = []
 
     def tilde(i, j, s, p):
-        return p if j is None else p * (1.0 - rt[(i, j, s)])
+        return p if j is None else p * (1.0 - rt[i][j][s])
 
     # flow conservation: unit source at the initial state, then inflow
     # balance per state and flow index
@@ -271,17 +230,17 @@ def build_ilp(
                     rows.append((f"flow_i{i}_f{fn}_k{k}_s{sn}", 0.0, 0.0, coeffs))
 
     # one linear risk row per criterion
-    last_k = layers.horizon - 1 if include_terminal_risk else layers.horizon - 2
     for j in criteria:
         coeffs = []
         for i in ids:
             layers_i = layers.per_interaction[i]
-            for k in range(0, last_k + 1):
+            rt_ij = rt[i][j]
+            for k in range(layers.horizon):
                 for s in layers_i.layers[k]:
-                    survival = 1.0 - rt[(i, j, s)]
+                    survival = 1.0 - rt_ij[s]
                     for a in layers_i.joint_actions:
                         coef = survival * sum(
-                            p * rt[(i, j, succ)] for succ, p in layers_i.edges[(s, a)]
+                            p * rt_ij[succ] for succ, p in layers_i.edges[(s, a)]
                         )
                         if coef != 0.0:
                             coeffs.append((x_index[(i, j, k, s, a)], coef))
@@ -346,7 +305,6 @@ def build_ilp(
         integrality=integrality,
         objective=objective,
         rows=rows,
-        maximize=True,
     )
     return IlpModel(
         instance=instance,
@@ -356,31 +314,15 @@ def build_ilp(
         z_index=z_index,
         matrix=matrix,
         delta_tilde=delta_tilde,
-        include_terminal_risk=include_terminal_risk,
     )
 
 
-def solver_backend_adapter(model: IlpModel) -> MatrixForm:
-    """Backend-neutral matrix form of a built model (lossless)."""
-    return model.matrix
-
-
 # ---------------------------------------------------------------------------
-# backends
+# backend
 
 
 class ScipyHighsBackend:
-    """HiGHS via scipy.optimize.milp.
-
-    The bundled HiGHS 1.8 MIP presolve can falsely declare large models
-    with many variable-bound rows infeasible.  An "infeasible" verdict is
-    therefore re-checked once on an equivalent slack form (inequalities
-    rewritten as equalities with bounded slack columns), which takes a
-    different presolve path; genuine infeasibility survives the retry.
-    """
-
-    name = "scipy-highs"
-    RETRY_RELAX = 1e-7
+    """HiGHS through scipy.optimize.milp."""
 
     def solve(
         self,
@@ -388,28 +330,14 @@ class ScipyHighsBackend:
         time_limit: float | None = None,
         mip_rel_gap: float | None = None,
     ):
+        """Returns (status, x, objective), status one of optimal, infeasible
+        or time_limit (with the incumbent); anything else is a failure."""
         if matrix.n_cols == 0:
             return "optimal", np.zeros(0), 0.0
-        status, x, objective = self._solve_once(matrix, time_limit, mip_rel_gap, 0.0)
-        if status == "infeasible" and matrix.n_rows:
-            status, x, objective = self._solve_once(
-                matrix, time_limit, mip_rel_gap, self.RETRY_RELAX
-            )
-        return status, x, objective
-
-    def _solve_once(self, matrix, time_limit, mip_rel_gap, relax):
-        from scipy import sparse
-        from scipy.optimize import Bounds, LinearConstraint, milp
-
-        sign = -1.0 if matrix.maximize else 1.0
         data, rows_ix, cols_ix, lo, hi = [], [], [], [], []
         for rn, (_, rlo, rhi, coeffs) in enumerate(matrix.rows):
-            # relax one-sided rows only; equalities stay exact (the retry
-            # targets the presolve path for variable-bound inequalities)
-            one_sided = (rlo == -math.inf) != (rhi == math.inf)
-            eps = relax if one_sided else 0.0
-            lo.append(rlo if rlo == -math.inf else rlo - eps)
-            hi.append(rhi if rhi == math.inf else rhi + eps)
+            lo.append(rlo)
+            hi.append(rhi)
             for col, val in coeffs:
                 rows_ix.append(rn)
                 cols_ix.append(col)
@@ -419,45 +347,28 @@ class ScipyHighsBackend:
             a_mat = sparse.csr_matrix(
                 (data, (rows_ix, cols_ix)), shape=(matrix.n_rows, matrix.n_cols)
             )
-            constraints = [LinearConstraint(a_mat, lo, hi)]
+            constraints = [scipy.optimize.LinearConstraint(a_mat, lo, hi)]
         options = {
             "mip_rel_gap": DEFAULT_MIP_REL_GAP if mip_rel_gap is None else mip_rel_gap,
             "presolve": True,
         }
         if time_limit is not None:
             options["time_limit"] = float(time_limit)
-        res = milp(
-            c=sign * np.asarray(matrix.objective, dtype=float),
+        # milp minimizes, so the objective is negated both ways
+        res = scipy.optimize.milp(
+            c=-np.asarray(matrix.objective, dtype=float),
             constraints=constraints,
             integrality=np.asarray(matrix.integrality),
-            bounds=Bounds(matrix.lower, matrix.upper),
+            bounds=scipy.optimize.Bounds(matrix.lower, matrix.upper),
             options=options,
         )
         if res.status == 0:
-            return "optimal", res.x, sign * res.fun
+            return "optimal", res.x, -res.fun
         if res.status == 2:
             return "infeasible", None, float("nan")
         if res.status == 1 and res.x is not None:
-            return "time_limit", res.x, sign * res.fun
-        raise SolverFailure(f"backend {self.name}: {res.message}")
-
-
-_BACKENDS = {ScipyHighsBackend.name: ScipyHighsBackend}
-
-
-def available_backends() -> list:
-    return sorted(_BACKENDS)
-
-
-def get_backend(name: str | None = None):
-    if name is None:
-        name = os.environ.get(SOLVER_ENV_VAR, ScipyHighsBackend.name)
-    try:
-        return _BACKENDS[name]()
-    except KeyError:
-        raise SolverFailure(
-            f"unknown solver backend {name!r}; available: {available_backends()}"
-        ) from None
+            return "time_limit", res.x, -res.fun
+        raise SolverFailure(f"HiGHS: {res.message}")
 
 
 # ---------------------------------------------------------------------------
@@ -484,21 +395,18 @@ def extract_policy(model: IlpModel, x: np.ndarray) -> Policy:
                 else:
                     table[(s, k)] = default
         assignments[i] = table
-    return Policy.deterministic(assignments)
+    return Policy(assignments)
 
 
 def solve(
     model: IlpModel,
-    backend=None,
     time_limit: float | None = None,
     mip_rel_gap: float | None = None,
 ) -> SolveResult:
     """Solve a built model and read back the policy, flows, and post-hoc
     risk evaluation.  Optimal results are verified against the budgets."""
-    if backend is None:
-        backend = get_backend()
     start = time.perf_counter()
-    status, x, objective = backend.solve(model.matrix, time_limit, mip_rel_gap)
+    status, x, objective = ScipyHighsBackend().solve(model.matrix, time_limit, mip_rel_gap)
     elapsed = time.perf_counter() - start
     if status == "infeasible":
         return SolveResult(status="infeasible", solve_seconds=elapsed)
@@ -512,9 +420,7 @@ def solve(
                 per[(i, k, s, a)] = float(x[col])
         flows[j] = per
     risks = {
-        j: execution_risk(
-            model.instance, model.layers, policy, j, model.include_terminal_risk
-        )
+        j: execution_risk(model.instance, model.layers, policy, j)
         for j in model.criteria
     }
     if status == "optimal":
@@ -537,23 +443,21 @@ def solve(
 def solve_instance(
     instance: MccSspInstance,
     layers: LayeredSpace | None = None,
-    backend=None,
     time_limit: float | None = None,
     mip_rel_gap: float | None = None,
-    include_terminal_risk: bool = True,
 ) -> SolveResult:
     """Validate, layer, build, and solve; maps BudgetExhausted to a status."""
     build_start = time.perf_counter()
     if layers is None:
         layers = reachable_layers(instance)
     try:
-        model = build_ilp(instance, layers, include_terminal_risk)
+        model = build_ilp(instance, layers)
     except BudgetExhausted:
         return SolveResult(
             status="budget_exhausted",
             build_seconds=time.perf_counter() - build_start,
         )
     build_elapsed = time.perf_counter() - build_start
-    result = solve(model, backend=backend, time_limit=time_limit, mip_rel_gap=mip_rel_gap)
+    result = solve(model, time_limit=time_limit, mip_rel_gap=mip_rel_gap)
     result.build_seconds = build_elapsed
     return result

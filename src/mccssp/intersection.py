@@ -37,6 +37,7 @@ from .model import (
     MccSspInstance,
     StateRisk,
     reachable_layers,
+    state_risk_tilde,
 )
 from .oracles import fcfs_plan
 from .pft import (
@@ -44,7 +45,7 @@ from .pft import (
     VehicleGeometry,
     pft_from_path,
     step_probability_matrix,
-    window_risk,
+    window_risk_table,
 )
 
 SIDES = ("N", "E", "S", "W")
@@ -225,11 +226,7 @@ class Scenario:
                     t1, t2, self.geometry, self.geometry,
                     n=self.config.mc_samples, seed=pair_seed,
                 )
-                window = max(len(t1), len(t2))
-                table = np.zeros((len(t1) + 1, len(t2) + 1))
-                for q1 in range(len(t1) + 1):
-                    for q2 in range(len(t2) + 1):
-                        table[q1, q2] = window_risk(matrix, q1, q2, window)
+                table = window_risk_table(matrix, max(len(t1), len(t2)))
                 if table.max() < self.config.conflict_risk_floor and key[0] != key[1]:
                     self._pairs[key] = None
                 else:
@@ -661,12 +658,8 @@ def _step_collision_prob(scenario, v1, prev1, v2, prev2) -> float:
     pair = scenario.pair_risk(var1, var2)
     if pair is None:
         return 0.0
-    swap = not (var1 <= var2)
-    survival = 1.0
-    for i1, i2 in zip(idx1, idx2):
-        p = pair.matrix[i2, i1] if swap else pair.matrix[i1, i2]
-        survival *= 1.0 - p
-    return 1.0 - survival
+    matrix = pair.matrix.T if var2 < var1 else pair.matrix
+    return state_risk_tilde(matrix[i1, i2] for i1, i2 in zip(idx1, idx2))
 
 
 def simulate(

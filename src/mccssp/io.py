@@ -99,7 +99,6 @@ def instance_to_json(instance: MccSspInstance) -> str:
         {
             "format_version": FORMAT_VERSION,
             "horizon": instance.horizon,
-            "risk_coupling_mode": instance.risk_coupling_mode,
             "risk_budgets": dict(instance.risk_budgets),
             "agents": agents,
             "interactions": interactions,
@@ -165,7 +164,6 @@ def instance_from_json(text: str) -> MccSspInstance:
         interactions=tuple(interactions),
         horizon=int(data["horizon"]),
         risk_budgets={j: float(d) for j, d in data["risk_budgets"].items()},
-        risk_coupling_mode=data.get("risk_coupling_mode", "exclusive"),
     )
 
 

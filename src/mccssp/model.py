@@ -20,12 +20,21 @@ Criterion = str
 
 PROB_TOL = 1e-9
 
-RISK_COUPLING_MODES = ("exclusive", "union_bound")
-
 
 def skey(obj) -> str:
     """Stable sort key for opaque identifiers of mixed types."""
     return repr(obj)
+
+
+def state_risk_tilde(risks: Iterable[float]) -> float:
+    """Probability that at least one of several independent failures
+    happens: 1 - prod(1 - r), multiplied in the given order."""
+    survival = 1.0
+    for r in risks:
+        if not 0.0 <= r <= 1.0:
+            raise ValueError(f"risk {r!r} outside [0, 1]")
+        survival *= 1.0 - r
+    return 1.0 - survival
 
 
 class InstanceError(ValueError):
@@ -141,10 +150,7 @@ class StateRisk:
             else:
                 value = float(self._aggregate.get(joint_state, 0.0))
         else:
-            survival = 1.0
-            for p in self.pair_probabilities(members, joint_state):
-                survival *= 1.0 - p
-            value = 1.0 - survival
+            value = state_risk_tilde(self.pair_probabilities(members, joint_state))
         if not 0.0 <= value <= 1.0:
             raise InstanceError(f"risk value {value!r} outside [0, 1] at {joint_state!r}")
         return value
@@ -209,7 +215,6 @@ class MccSspInstance:
     interactions: tuple
     horizon: int
     risk_budgets: Mapping[Criterion, float]
-    risk_coupling_mode: str = "exclusive"
 
     def __post_init__(self):
         object.__setattr__(self, "interactions", tuple(self.interactions))
@@ -235,8 +240,6 @@ def validate_instance(instance: MccSspInstance) -> list:
     report = []
     if instance.horizon < 1:
         report.append(f"horizon must be >= 1, got {instance.horizon}")
-    if instance.risk_coupling_mode not in RISK_COUPLING_MODES:
-        report.append(f"unknown risk_coupling_mode {instance.risk_coupling_mode!r}")
     for j, delta in instance.risk_budgets.items():
         if not 0.0 <= delta <= 1.0:
             report.append(f"risk budget {j!r} = {delta!r} outside [0, 1]")
@@ -382,10 +385,24 @@ class InteractionLayers:
     layers: tuple
     edges: Mapping
     utilities: Mapping
+    _state_risks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def id(self) -> int:
         return self.view.id
+
+    def state_risks(self, criterion: Criterion) -> dict:
+        """Aggregate failure probability of every reachable state for one
+        criterion, computed on first use."""
+        rt = self._state_risks.get(criterion)
+        if rt is None:
+            rt = {
+                s: self.view.state_risk(criterion, s)
+                for layer in self.layers
+                for s in layer
+            }
+            self._state_risks[criterion] = rt
+        return rt
 
     @property
     def joint_actions(self) -> tuple:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import InteractionLayers, LayeredSpace, MccSspInstance, reachable_layers, skey
-from .risk import Policy, interaction_execution_risk
+from .risk import Policy, evaluate_table, interaction_execution_risk
 
 
 class CapExceeded(RuntimeError):
@@ -111,21 +111,15 @@ def _enumerate_assignments(
     criteria: tuple,
     slots: dict,
     cap: int,
-    include_terminal_risk: bool,
 ) -> list:
     """All deterministic assignments over states reachable under the policy
     itself, in lexicographic order.  Each entry is (assignment, utility,
     risk-vector, slot-signature); states never reached under the policy are
     left unassigned (they are payoff-irrelevant).
     """
-    view = layers_i.view
-    members = view.members
+    members = layers_i.view.members
     horizon = len(layers_i.layers) - 1
     actions = layers_i.joint_actions
-    rt = {
-        j: {s: view.state_risk(j, s) for layer in layers_i.layers for s in layer}
-        for j in criteria
-    }
     own_slots = {
         (v, value, k)
         for (v, value, k), ids in slots.items()
@@ -134,48 +128,24 @@ def _enumerate_assignments(
 
     results = []
 
-    def evaluate(assignment, reached_per_layer):
-        util = 0.0
-        occ = {layers_i.layers[0][0]: 1.0}
-        for k in range(horizon):
-            nxt = {}
-            for s, mass in occ.items():
-                a = assignment[(s, k)]
-                util += mass * layers_i.utilities[(s, a)]
-                for succ, p in layers_i.edges[(s, a)]:
-                    nxt[succ] = nxt.get(succ, 0.0) + mass * p
-            occ = nxt
-        risks = []
-        for j in criteria:
-            rj = rt[j]
-            er = {
-                s: (rj[s] if include_terminal_risk else 0.0)
-                for s in reached_per_layer[horizon]
-            }
-            for k in range(horizon - 1, -1, -1):
-                nxt = er
-                er = {}
-                for s in reached_per_layer[k]:
-                    a = assignment[(s, k)]
-                    downstream = sum(p * nxt[succ] for succ, p in layers_i.edges[(s, a)])
-                    er[s] = rj[s] + (1.0 - rj[s]) * downstream
-            risks.append(er[layers_i.layers[0][0]])
-        signature = {}
+    def signature(assignment):
+        sig = {}
         for (s, k), a in assignment.items():
             for pos, v in enumerate(members):
                 slot = (v, s[pos], k)
                 if slot not in own_slots:
                     continue
                 chosen = a[pos]
-                if signature.setdefault(slot, chosen) != chosen:
+                if sig.setdefault(slot, chosen) != chosen:
                     return None  # same slot forced to two different actions
-        return util, tuple(risks), signature
+        return sig
 
-    def recurse(k, reached, assignment, reached_per_layer):
+    def recurse(k, reached, assignment):
         if k == horizon:
-            outcome = evaluate(assignment, reached_per_layer)
-            if outcome is not None:
-                results.append((dict(assignment), *outcome))
+            sig = signature(assignment)
+            if sig is not None:
+                util, risks = evaluate_table(layers_i, assignment, criteria)
+                results.append((dict(assignment), util, risks, sig))
                 if len(results) > cap:
                     raise CapExceeded(
                         f"more than {cap} deterministic policies at interaction {layers_i.id}"
@@ -186,14 +156,11 @@ def _enumerate_assignments(
             for s, a in zip(reached, combo):
                 assignment[(s, k)] = a
                 succs.update(succ for succ, _ in layers_i.edges[(s, a)])
-            reached_per_layer.append(tuple(sorted(succs, key=skey)))
-            recurse(k + 1, reached_per_layer[-1], assignment, reached_per_layer)
-            reached_per_layer.pop()
+            recurse(k + 1, tuple(sorted(succs, key=skey)), assignment)
             for s in reached:
                 del assignment[(s, k)]
 
-    root = layers_i.layers[0][0]
-    recurse(0, (root,), {}, [(root,)])
+    recurse(0, (layers_i.layers[0][0],), {})
     return results
 
 
@@ -259,7 +226,6 @@ def brute_force_optimal(
     instance: MccSspInstance,
     layers: LayeredSpace | None = None,
     cap: int = 10_000_000,
-    include_terminal_risk: bool = True,
 ) -> BruteForceResult:
     """Feasible deterministic-policy maximizer by exhaustive enumeration.
 
@@ -295,9 +261,7 @@ def brute_force_optimal(
     for layers_i in layers:
         cands = [
             ({layers_i.id: asg}, u, r, sig)
-            for asg, u, r, sig in _enumerate_assignments(
-                layers_i, criteria, slots, cap, include_terminal_risk
-            )
+            for asg, u, r, sig in _enumerate_assignments(layers_i, criteria, slots, cap)
         ]
         per_interaction[layers_i.id] = cands
         total += len(cands)
@@ -370,7 +334,7 @@ def brute_force_optimal(
         for k, s in layers_i.decision_points():
             table[(s, k)] = chosen.get((s, k), layers_i.view.default_joint_action())
         full[layers_i.id] = table
-    policy = Policy.deterministic(full)
+    policy = Policy(full)
     risks = dict(zip(criteria, best["risks"]))
     return BruteForceResult("optimal", best["util"], policy, risks, total)
 
@@ -384,7 +348,6 @@ def fcfs_plan(
     arrival_order: list,
     per_action_bound: float,
     layers: LayeredSpace | None = None,
-    include_terminal_risk: bool = True,
 ) -> Policy:
     """Grant agents their best action in arrival order under a per-action
     risk bound.
@@ -423,7 +386,7 @@ def fcfs_plan(
     def constant_policy(layers_i, overrides):
         joint = joint_assignment(layers_i, overrides)
         table = {(s, k): joint for k, s in layers_i.decision_points()}
-        return Policy.deterministic({layers_i.id: table})
+        return Policy({layers_i.id: table})
 
     def action_risk_ok(v, action):
         for layers_i in layers:
@@ -434,9 +397,7 @@ def fcfs_plan(
                 continue
             policy = constant_policy(layers_i, {v: action})
             for j in instance.criteria:
-                risk = interaction_execution_risk(
-                    layers_i, policy, j, include_terminal_risk
-                )
+                risk = interaction_execution_risk(layers_i, policy, j)
                 if risk > per_action_bound + 1e-12:
                     return False
         return True
@@ -466,4 +427,4 @@ def fcfs_plan(
         assignments[layers_i.id] = {
             (s, k): joint for k, s in layers_i.decision_points()
         }
-    return Policy.deterministic(assignments)
+    return Policy(assignments)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import state_risk_tilde
+
 COV_EPSILON = 1e-6  # m^2, regularization added to fitted covariances
 DEFAULT_HZ = 6.0
 DEFAULT_SAMPLES = 10_000
@@ -438,16 +440,6 @@ def collision_prob_at(
     )
 
 
-def combine_step_risks(step_probs) -> float:
-    """Window risk 1 - prod(1 - p_t) over per-step collision probabilities."""
-    survival = 1.0
-    for p in step_probs:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"step probability {p!r} outside [0, 1]")
-        survival *= 1.0 - p
-    return 1.0 - survival
-
-
 def pairwise_risk(
     p1: Pft,
     p2: Pft,
@@ -479,7 +471,7 @@ def pairwise_risk(
         probs.append(
             collision_prob_at(p1, i1, p2, i2, g1, g2, n, seed=cell_seed(seed, 0, i1, i2))
         )
-    return combine_step_risks(probs)
+    return state_risk_tilde(probs)
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +578,27 @@ def window_risk(
 
     Two frozen vehicles hold a single static position pair, so their risk
     is the one-shot overlap probability, not a per-step compound."""
-    len1, len2 = step_matrix.shape
     if q1 == 0 and q2 == 0:
         return float(step_matrix[0, 0])
-    survival = 1.0
-    for t in range(window + 1):
-        i1 = 0 if q1 == 0 else q1 - 1 + t
-        i2 = 0 if q2 == 0 else q2 - 1 + t
-        if i1 > len1 - 1 or i2 > len2 - 1:
-            continue
-        survival *= 1.0 - step_matrix[i1, i2]
-    return 1.0 - survival
+    ahead = step_matrix[max(q1 - 1, 0):, max(q2 - 1, 0):]
+    if q1 == 0:
+        steps = ahead[0]
+    elif q2 == 0:
+        steps = ahead[:, 0]
+    else:
+        steps = ahead.diagonal()
+    return state_risk_tilde(steps[: window + 1].tolist())
+
+
+def window_risk_table(step_matrix: np.ndarray, window: int) -> np.ndarray:
+    """``window_risk`` at every pair of axis values: a (len1 + 1) x
+    (len2 + 1) table for a (len1, len2) step-probability matrix."""
+    len1, len2 = step_matrix.shape
+    table = np.zeros((len1 + 1, len2 + 1))
+    for q1 in range(len1 + 1):
+        for q2 in range(len2 + 1):
+            table[q1, q2] = window_risk(step_matrix, q1, q2, window)
+    return table
 
 
 def precompute_risk_table(
@@ -625,18 +627,21 @@ def precompute_risk_table(
     sizes = tuple(len(t) + 1 for t in tubes)
 
     pair_list = list(itertools.combinations(range(len(names)), 2))
-    matrices = {}
-    for pair_index, (a, b) in enumerate(pair_list):
-        matrices[(a, b)] = step_probability_matrix(
-            tubes[a], tubes[b], geom[names[a]], geom[names[b]], n, seed, pair_index
+    pair_tables = [
+        window_risk_table(
+            step_probability_matrix(
+                tubes[a], tubes[b], geom[names[a]], geom[names[b]], n, seed, pair_index
+            ),
+            window,
         )
+        for pair_index, (a, b) in enumerate(pair_list)
+    ]
 
     values = np.zeros(sizes)
     for combo in itertools.product(*(range(size) for size in sizes)):
-        survival = 1.0
-        for (a, b) in pair_list:
-            survival *= 1.0 - window_risk(matrices[(a, b)], combo[a], combo[b], window)
-        values[combo] = 1.0 - survival
+        values[combo] = state_risk_tilde(
+            table[combo[a], combo[b]] for table, (a, b) in zip(pair_tables, pair_list)
+        )
     return RiskTable(
         maneuvers=names,
         window=window,

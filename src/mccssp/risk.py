@@ -1,6 +1,7 @@
-"""Execution-risk semantics: per-state aggregate failure probability,
-survival-weighted transitions, the backward risk recursion, policy
-evaluation, and the equivalent linear form over occupancy flows.
+"""Execution-risk semantics: survival-weighted transitions, the one
+evaluator of assignment tables (forward occupancy for expected utility,
+backward recursion for execution risk), and the equivalent linear form
+over occupancy flows.
 
 The backward recursion is the ground-truth evaluator that the ILP's linear
 risk expression is checked against; both are kept here so the identity can
@@ -9,7 +10,7 @@ be tested without touching solver code.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .model import (
     Criterion,
@@ -36,10 +37,6 @@ class Policy:
     def __init__(self, assignments: Mapping):
         self.assignments = {i: dict(table) for i, table in assignments.items()}
 
-    @classmethod
-    def deterministic(cls, assignments: Mapping) -> "Policy":
-        return cls(assignments)
-
     def action_distribution(self, interaction_id: int, state, k: int) -> dict:
         try:
             entry = self.assignments[interaction_id][(state, k)]
@@ -59,15 +56,6 @@ class Policy:
         return self.assignments.items()
 
 
-def state_risk_tilde(pairwise_risks: Iterable[float]) -> float:
-    """Aggregate failure probability 1 - prod(1 - r) over pair risks."""
-    survival = 1.0
-    for r in pairwise_risks:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"pairwise risk {r!r} outside [0, 1]")
-        survival *= 1.0 - r
-    return 1.0 - survival
-
 def transition_tilde(transition_prob: float, state_risk: float) -> float:
     """Survival-weighted transition probability t * (1 - state risk)."""
     if not 0.0 <= transition_prob <= 1.0:
@@ -77,38 +65,79 @@ def transition_tilde(transition_prob: float, state_risk: float) -> float:
     return transition_prob * (1.0 - state_risk)
 
 
+def evaluate_table(layers_i: InteractionLayers, table: Mapping, criteria: tuple = ()):
+    """Expected utility and per-criterion execution risk of one
+    interaction's assignment table ``{(state, k): action | {action: prob}}``.
+
+    A forward pass propagates occupancy under the plain transitions over
+    the states the table reaches, accruing utility on every step taken.  A
+    backward pass over the same states then gives er(s_h) = rt(s_h) and
+    er(s_k) = rt(s_k) + (1 - rt(s_k)) * sum_a pi(a|s_k) sum_s' T(s_k, a, s')
+    er(s_{k+1}).  Returns (utility, tuple of risks in ``criteria`` order).
+    Unreached states need no entry; a reached one without an entry raises
+    PolicyError.
+    """
+    root = layers_i.layers[0][0]
+    edges = layers_i.edges
+    utilities = layers_i.utilities
+    utility = 0.0
+    occ = {root: 1.0}
+    steps = []  # per decision layer: (state, [(prob, successors, utility), ...])
+    for k in range(len(layers_i.layers) - 1):
+        nxt = {}
+        step = []
+        for s, mass in occ.items():
+            try:
+                entry = table[(s, k)]
+            except KeyError:
+                raise PolicyError(
+                    f"policy undefined at interaction {layers_i.id}, state {s!r}, k={k}"
+                ) from None
+            if isinstance(entry, dict):
+                moves = [
+                    (prob, edges[(s, a)], utilities[(s, a)])
+                    for a, prob in entry.items()
+                    if prob != 0.0
+                ]
+            else:
+                moves = ((1.0, edges[(s, entry)], utilities[(s, entry)]),)
+            for prob, succs, u in moves:
+                weight = mass * prob
+                utility += weight * u
+                for succ, p in succs:
+                    nxt[succ] = nxt.get(succ, 0.0) + weight * p
+            step.append((s, moves))
+        steps.append(step)
+        occ = nxt
+
+    risks = []
+    for j in criteria:
+        rt = layers_i.state_risks(j)
+        er = {s: rt[s] for s in occ}
+        for step in reversed(steps):
+            nxt = er
+            er = {}
+            for s, moves in step:
+                downstream = 0.0
+                for prob, succs, _ in moves:
+                    expected = 0.0
+                    for succ, p in succs:
+                        expected += p * nxt[succ]
+                    downstream += prob * expected
+                r = rt[s]
+                er[s] = r + (1.0 - r) * downstream
+        risks.append(er[root])
+    return utility, tuple(risks)
+
+
 def interaction_execution_risk(
     layers_i: InteractionLayers,
     policy: Policy,
     criterion: Criterion,
-    include_terminal_risk: bool = True,
 ) -> float:
-    """Backward risk recursion over one interaction's layered DAG.
-
-    er(s_h) equals the terminal state risk (zero when terminal risk is
-    excluded); below that, er(s_k) = rt(s_k) + (1 - rt(s_k)) *
-    sum_a pi(a|s_k) sum_s' T(s_k, a, s') er(s_{k+1}).
-    """
-    view = layers_i.view
-    horizon = len(layers_i.layers) - 1
-    rt = {s: view.state_risk(criterion, s) for layer in layers_i.layers for s in layer}
-
-    er = {
-        s: (rt[s] if include_terminal_risk else 0.0) for s in layers_i.layers[horizon]
-    }
-    for k in range(horizon - 1, -1, -1):
-        nxt = er
-        er = {}
-        for s in layers_i.layers[k]:
-            downstream = 0.0
-            for a, prob in policy.action_distribution(layers_i.id, s, k).items():
-                if prob == 0.0:
-                    continue
-                downstream += prob * sum(
-                    p * nxt[succ] for succ, p in layers_i.edges[(s, a)]
-                )
-            er[s] = rt[s] + (1.0 - rt[s]) * downstream
-    return er[layers_i.layers[0][0]]
+    """Execution risk at one interaction's initial state (see evaluate_table)."""
+    table = policy.assignments.get(layers_i.id, {})
+    return evaluate_table(layers_i, table, (criterion,))[1][0]
 
 
 def execution_risk(
@@ -116,40 +145,25 @@ def execution_risk(
     layers: LayeredSpace,
     policy: Policy,
     criterion: Criterion,
-    include_terminal_risk: bool = True,
 ) -> float:
     """Total execution risk from the initial state: the sum of the
-    per-interaction recursions.  Exact under the exclusive coupling
-    assumption; an upper bound under union_bound coupling.
+    per-interaction recursions.  The sum is exact when no agent pair can
+    fail at two interaction points, and an upper bound otherwise.
     """
     return sum(
-        interaction_execution_risk(layers_i, policy, criterion, include_terminal_risk)
-        for layers_i in layers
+        interaction_execution_risk(layers_i, policy, criterion) for layers_i in layers
     )
 
 
 def expected_utility(
     instance: MccSspInstance, layers: LayeredSpace, policy: Policy
 ) -> float:
-    """Expected cumulative utility over decision steps 0..h-1 by forward
-    occupancy propagation under the plain (un-tilded) transitions."""
-    total = 0.0
-    for layers_i in layers:
-        occ = {layers_i.layers[0][0]: 1.0}
-        for k in range(len(layers_i.layers) - 1):
-            nxt = {}
-            for s, mass in occ.items():
-                if mass == 0.0:
-                    continue
-                for a, prob in policy.action_distribution(layers_i.id, s, k).items():
-                    if prob == 0.0:
-                        continue
-                    weight = mass * prob
-                    total += weight * layers_i.utilities[(s, a)]
-                    for succ, p in layers_i.edges[(s, a)]:
-                        nxt[succ] = nxt.get(succ, 0.0) + weight * p
-            occ = nxt
-    return total
+    """Expected cumulative utility over decision steps 0..h-1 (see
+    evaluate_table)."""
+    return sum(
+        evaluate_table(layers_i, policy.assignments.get(layers_i.id, {}))[0]
+        for layers_i in layers
+    )
 
 
 def policy_flows(
@@ -167,14 +181,12 @@ def policy_flows(
     """
     flows = {}
     for layers_i in layers:
-        view = layers_i.view
+        rt = None if criterion is None else layers_i.state_risks(criterion)
         occ = {layers_i.layers[0][0]: 1.0}
         for k in range(len(layers_i.layers) - 1):
             nxt = {}
             for s, mass in occ.items():
-                survival = (
-                    1.0 if criterion is None else 1.0 - view.state_risk(criterion, s)
-                )
+                survival = 1.0 if rt is None else 1.0 - rt[s]
                 for a, prob in policy.action_distribution(layers_i.id, s, k).items():
                     x = mass * prob
                     flows[(layers_i.id, k, s, a)] = x
@@ -191,28 +203,18 @@ def linear_risk_from_flows(
     layers: LayeredSpace,
     flows: Mapping,
     criterion: Criterion,
-    include_terminal_risk: bool = True,
 ) -> float:
     """Linear form of the execution risk at the initial state, evaluated on
     flows that satisfy the tilded conservation equations for ``criterion``:
 
         sum_i rt(s0_i)
         + sum_{k,i,s,a,s'} rt(s') x[i,k,s,a] T(s,a,s') (1 - rt(s))
-
-    With terminal risk excluded, the last layer's rt terms are dropped.
     """
-    horizon = layers.horizon
     total = 0.0
     for layers_i in layers:
-        view = layers_i.view
-        rt = {
-            s: view.state_risk(criterion, s)
-            for layer in layers_i.layers
-            for s in layer
-        }
+        rt = layers_i.state_risks(criterion)
         total += rt[layers_i.layers[0][0]]
-        last_k = horizon - 1 if include_terminal_risk else horizon - 2
-        for k in range(0, last_k + 1):
+        for k in range(layers.horizon):
             for s in layers_i.layers[k]:
                 survival = 1.0 - rt[s]
                 for a in layers_i.joint_actions:

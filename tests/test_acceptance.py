@@ -89,12 +89,12 @@ def test_linear_risk_identity_on_random_flows():
 
 
 def test_chain_closed_form():
-    from conftest import make_chain_instance
+    from builders import make_chain_instance
 
     inst = make_chain_instance(risk=0.1, horizon=3)
     layers = reachable_layers(inst)
     li = layers.per_interaction[0]
-    policy = Policy.deterministic(
+    policy = Policy(
         {0: {(s, k): ("go",) for k, s in li.decision_points()}}
     )
     recursion = execution_risk(inst, layers, policy, "col")
@@ -210,7 +210,7 @@ def test_planning_time_envelope_16_avs():
                 for li in layers
             }
             wait_risk = execution_risk(
-                inst, layers, Policy.deterministic(assign), "collision"
+                inst, layers, Policy(assign), "collision"
             )
             assert wait_risk <= 0.05 + RISK_TOL
             note = (
@@ -346,11 +346,11 @@ def test_waiting_time_case_study():
 def test_flow_tube_suite():
     from scipy.stats import norm
 
+    from mccssp.model import state_risk_tilde
     from mccssp.pft import (
         Pft,
         VehicleGeometry,
         collision_prob_at,
-        combine_step_risks,
         intent_posterior,
         pairwise_risk,
         pft_from_path,
@@ -361,8 +361,8 @@ def test_flow_tube_suite():
     geometry = VehicleGeometry(4.5, 2.0)
 
     # window formula, exact float evaluation of 1 - (1-p1)(1-p2)
-    assert combine_step_risks([0.1, 0.1]) == 1.0 - (1.0 - 0.1) * (1.0 - 0.1)
-    assert combine_step_risks([0.1, 0.1]) == pytest.approx(0.19, abs=1e-15)
+    assert state_risk_tilde([0.1, 0.1]) == 1.0 - (1.0 - 0.1) * (1.0 - 0.1)
+    assert state_risk_tilde([0.1, 0.1]) == pytest.approx(0.19, abs=1e-15)
 
     # sampling against the analytic overlap of collinear footprints
     sd1, sd2, mu = 1.2, 0.8, 5.0

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import make_risky_safe_instance
+from builders import make_risky_safe_instance
 from mccssp.cli import main
 from mccssp.io import save_instance
 
@@ -61,6 +61,23 @@ def test_grid_bench_csv(tmp_path, capsys):
     assert lines[0].startswith("#")
     assert lines[1] == "n_agents,horizon,build_s,solve_s,objective,risk,status"
     assert len(lines) == 2 + 4
+
+
+def test_grid_bench_reports_exhausted_budget(tmp_path):
+    # seed 26 starts the only agent on a risky cell whose 0.3 exceeds the
+    # 0.1 budget before any step
+    out_file = str(tmp_path / "bench.csv")
+    code = main([
+        "grid-bench", "--agents", "1", "--horizon", "1", "--seed", "26",
+        "--risky-risk", "0.3", "--delta", "0.1", "--out", out_file,
+    ])
+    assert code == 0
+    lines = open(out_file).read().strip().splitlines()
+    assert len(lines) == 3
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert row["n_agents"] == "1" and row["horizon"] == "1"
+    assert row["status"] == "budget_exhausted"
+    assert row["objective"] == "nan" and row["risk"] == "nan"
 
 
 def test_intersect_sim_csv(tmp_path):

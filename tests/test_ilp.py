@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import make_chain_instance, make_risky_safe_instance
+from builders import make_chain_instance, make_risky_safe_instance
 from mccssp.ilp import (
     BudgetExhausted,
     MatrixForm,
-    SolverFailure,
+    ScipyHighsBackend,
     build_ilp,
-    get_backend,
     solve,
     solve_instance,
-    solver_backend_adapter,
 )
 from mccssp.model import (
     AgentMdp,
@@ -124,21 +122,15 @@ def test_extracted_policy_deterministic_and_default_on_zero_flow():
 
 
 def test_matrix_adapter_counts_and_roundtrip(risky_safe):
-    model = build_ilp(risky_safe)
-    matrix = solver_backend_adapter(model)
+    matrix = build_ilp(risky_safe).matrix
     assert matrix.n_cols == 6  # 4 continuous + 2 binary
     assert sum(matrix.integrality) == 2
-    clone = MatrixForm.from_json(matrix.to_json())
-    assert clone.col_names == matrix.col_names
-    assert clone.rows == matrix.rows
-    assert clone.objective == matrix.objective
-    assert clone.to_json() == matrix.to_json()
 
 
 def test_empty_model_has_no_rows_or_columns():
     matrix = MatrixForm([], [], [], [], [], [])
     assert matrix.n_cols == 0 and matrix.n_rows == 0
-    status, x, objective = get_backend().solve(matrix)
+    status, x, objective = ScipyHighsBackend().solve(matrix)
     assert status == "optimal" and objective == 0.0
 
 
@@ -148,19 +140,6 @@ def test_lp_text_export(risky_safe):
     assert text.startswith("Maximize")
     assert "Binaries" in text and "End" in text
     assert "z_i0_k0_s0_a0" in text
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(SolverFailure):
-        get_backend("no-such-solver")
-
-
-def test_backend_env_variable(monkeypatch):
-    monkeypatch.setenv("MCCSSP_SOLVER", "scipy-highs")
-    assert get_backend().name == "scipy-highs"
-    monkeypatch.setenv("MCCSSP_SOLVER", "bogus")
-    with pytest.raises(SolverFailure):
-        get_backend()
 
 
 def test_solved_risk_respects_budget_post_hoc():
@@ -178,19 +157,6 @@ def test_solved_risk_respects_budget_post_hoc():
             for j in inst.criteria:
                 assert result.risks[j] <= inst.risk_budgets[j] + 1e-6
         checked += 1
-
-
-def test_union_bound_mode_solves_identically():
-    exclusive = make_risky_safe_instance(delta=0.3)
-    union = MccSspInstance(
-        exclusive.agents, exclusive.interactions, exclusive.horizon,
-        exclusive.risk_budgets, risk_coupling_mode="union_bound",
-    )
-    a = solve_instance(exclusive)
-    b = solve_instance(union)
-    assert a.status == b.status == "optimal"
-    assert abs(a.objective - b.objective) < 1e-12
-    assert a.risks == b.risks
 
 
 def test_ilp_dimensions_invariant_to_ambient_grid():

@@ -122,7 +122,7 @@ def test_hv_intent_split_mixes_branch_risks(small_scenario):
                 joint.append("go_s0" if "go_s0" in agent.actions else agent.actions[0])
             table[(s, k)] = tuple(joint)
         go[li.id] = table
-    er_mixed = execution_risk(inst, layers, Policy.deterministic(go), "collision")
+    er_mixed = execution_risk(inst, layers, Policy(go), "collision")
 
     cfg = small_scenario.config
     av_var = small_scenario.variant_key("E0", 0, "straight", "s0")

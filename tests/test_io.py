@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import make_coinflip_pair_instance
+from builders import make_coinflip_pair_instance
 from mccssp.grid import GridSpec, generate_grid_instance
 from mccssp.io import (
     instance_from_json,

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import make_chain_instance, make_coinflip_pair_instance, make_risky_safe_instance
+from builders import make_chain_instance, make_coinflip_pair_instance
 from mccssp.model import (
     AgentMdp,
     InstanceError,
@@ -61,20 +61,6 @@ def test_bad_budget_and_horizon_reported(risky_safe):
 def test_default_owner_assignment():
     flags = assign_utility_owners([("a", "b"), ("b", "c")])
     assert flags == [(True, True), (False, True)]
-
-
-def test_risk_coupling_modes():
-    ok = make_risky_safe_instance()
-    union = MccSspInstance(
-        ok.agents, ok.interactions, ok.horizon, ok.risk_budgets,
-        risk_coupling_mode="union_bound",
-    )
-    assert validate_instance(union) == []
-    bad = MccSspInstance(
-        ok.agents, ok.interactions, ok.horizon, ok.risk_budgets,
-        risk_coupling_mode="sometimes",
-    )
-    assert any("risk_coupling_mode" in line for line in validate_instance(bad))
 
 
 def test_interaction_product_action_count():
@@ -169,7 +155,7 @@ def test_reachable_layers_only_positive_probability():
 
 def test_flow_conservation_over_layers(chain, chain_layers):
     li = chain_layers.per_interaction[0]
-    policy = Policy.deterministic(
+    policy = Policy(
         {0: {(s, k): ("go",) for k, s in li.decision_points()}}
     )
     occ = {li.layers[0][0]: 1.0}

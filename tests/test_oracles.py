@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_chain_instance, make_risky_safe_instance
+from builders import make_chain_instance, make_risky_safe_instance
 from mccssp.model import (
     AgentMdp,
     InteractionPoint,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from mccssp.model import state_risk_tilde
 from mccssp.pft import (
     Pft,
     RiskTable,
@@ -11,7 +12,6 @@ from mccssp.pft import (
     cell_seed,
     cluster_trajectories,
     collision_prob_at,
-    combine_step_risks,
     dtw_align,
     dtw_cost_and_path,
     extend_prefix,
@@ -218,12 +218,12 @@ def test_larger_geometry_never_reduces_collision_probability():
     assert all(a <= b + 1e-12 for a, b in zip(probs, probs[1:]))
 
 
-def test_combine_step_risks_formula():
-    assert abs(combine_step_risks([0.1, 0.1]) - 0.19) < 1e-15
-    assert combine_step_risks([0.5, 1.0]) == 1.0
-    assert combine_step_risks([0.0, 0.0]) == 0.0
+def test_step_risks_combine_one_minus_product():
+    assert abs(state_risk_tilde([0.1, 0.1]) - 0.19) < 1e-15
+    assert state_risk_tilde([0.5, 1.0]) == 1.0
+    assert state_risk_tilde([0.0, 0.0]) == 0.0
     with pytest.raises(ValueError):
-        combine_step_risks([1.1])
+        state_risk_tilde([1.1])
 
 
 def test_pairwise_risk_extremes_and_length_check():
@@ -271,7 +271,7 @@ def test_step_matrix_equals_cellwise_direct_calls(crossing_tubes):
 
 def test_risk_table_monotone_in_step_probabilities():
     probs = [0.05, 0.1, 0.2]
-    accumulated = [combine_step_risks([p] * 4) for p in probs]
+    accumulated = [state_risk_tilde([p] * 4) for p in probs]
     assert accumulated == sorted(accumulated)
 
 

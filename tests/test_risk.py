@@ -1,22 +1,23 @@
 import numpy as np
 import pytest
 
-from conftest import make_chain_instance, make_risky_safe_instance
+from builders import make_chain_instance, make_risky_safe_instance
 from mccssp.model import (
     AgentMdp,
     InteractionPoint,
     MccSspInstance,
     StateRisk,
     reachable_layers,
+    state_risk_tilde,
 )
 from mccssp.risk import (
     Policy,
     PolicyError,
+    evaluate_table,
     execution_risk,
     expected_utility,
     linear_risk_from_flows,
     policy_flows,
-    state_risk_tilde,
     transition_tilde,
 )
 from mccssp.selftest import random_instance
@@ -46,7 +47,7 @@ def _go_policy(layers):
         assign[li.id] = {
             (s, k): li.joint_actions[0] for k, s in li.decision_points()
         }
-    return Policy.deterministic(assign)
+    return Policy(assign)
 
 
 def test_chain_survival_product():
@@ -110,10 +111,8 @@ def test_terminal_risk_flag():
     inst = make_chain_instance(horizon=2)
     layers = reachable_layers(inst)
     policy = _go_policy(layers)
-    with_terminal = execution_risk(inst, layers, policy, "col", True)
-    without = execution_risk(inst, layers, policy, "col", False)
+    with_terminal = execution_risk(inst, layers, policy, "col")
     assert abs(with_terminal - (1 - 0.9**3)) < 1e-12
-    assert abs(without - (1 - 0.9**2)) < 1e-12
 
 
 def test_expected_utility_chain():
@@ -147,14 +146,14 @@ def test_greedy_beats_other_action():
     inst = make_risky_safe_instance(delta=1.0)
     layers = reachable_layers(inst)
     li = layers.per_interaction[0]
-    greedy = Policy.deterministic(
+    greedy = Policy(
         {0: {(s, k): ("risky",) for k, s in li.decision_points()}}
     )
     assert expected_utility(inst, layers, greedy) == 10.0
 
 
 def test_policy_error_on_missing_assignment(chain, chain_layers):
-    policy = Policy.deterministic({0: {((0,), 0): ("go",)}})
+    policy = Policy({0: {((0,), 0): ("go",)}})
     with pytest.raises(PolicyError):
         execution_risk(chain, chain_layers, policy, "col")
 
@@ -219,3 +218,58 @@ def test_linear_form_matches_recursion_on_random_policies():
             recursion = execution_risk(inst, layers, policy, j)
             assert abs(linear - recursion) < 1e-9
         checked += 1
+
+
+def _partial_table(li, rng):
+    """Random deterministic choices at the states the choices reach, and
+    nothing anywhere else."""
+    table = {}
+    reached = (li.layers[0][0],)
+    for k in range(len(li.layers) - 1):
+        succs = set()
+        for s in reached:
+            a = li.joint_actions[int(rng.integers(len(li.joint_actions)))]
+            table[(s, k)] = a
+            succs.update(succ for succ, _ in li.edges[(s, a)])
+        reached = tuple(succs)
+    return table
+
+
+def test_unreached_states_need_no_assignment():
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 25:
+        inst = random_instance(rng)
+        from mccssp.model import validate_instance
+
+        if validate_instance(inst):
+            continue
+        layers = reachable_layers(inst)
+        partial, completed = {}, {}
+        for li in layers:
+            partial[li.id] = _partial_table(li, rng)
+            completed[li.id] = {
+                (s, k): partial[li.id].get(
+                    (s, k), li.joint_actions[int(rng.integers(len(li.joint_actions)))]
+                )
+                for k, s in li.decision_points()
+            }
+        sparse, full = Policy(partial), Policy(completed)
+        assert expected_utility(inst, layers, sparse) == expected_utility(inst, layers, full)
+        for j in inst.criteria:
+            assert execution_risk(inst, layers, sparse, j) == execution_risk(
+                inst, layers, full, j
+            )
+        checked += 1
+
+
+def test_zero_probability_action_needs_no_downstream_entries():
+    inst = make_risky_safe_instance(delta=1.0, horizon=2)
+    li = reachable_layers(inst).per_interaction[0]
+    mixed = {("safe",): 1.0, ("risky",): 0.0}
+    # risky_end is reachable in the layers, but only through the action
+    # taken with probability zero
+    table = {(("start",), 0): mixed, (("safe_end",), 1): ("safe",)}
+    assert evaluate_table(li, table, ("col",)) == (1.0, (0.0,))
+    with pytest.raises(PolicyError):
+        evaluate_table(li, {(("start",), 0): mixed}, ("col",))
