@@ -76,6 +76,8 @@ def cmd_solve(args) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     print(f"status {result.status}")
+    if result.decided_by is not None:
+        print(f"decided_by {result.decided_by}")
     if result.status in ("optimal", "time_limit"):
         print(f"objective {result.objective:.6f}")
         for j, risk in sorted(result.risks.items()):
@@ -276,6 +278,7 @@ def cmd_selftest(args) -> int:
         f"{report.infeasible} infeasible, {report.budget_exhausted} budget-exhausted "
         f"({report.resampled} resampled) in {report.seconds:.1f}s"
     )
+    print(f"{report.dp_decided} decided by the DP certificate without HiGHS")
     print(
         f"max objective gap {report.max_objective_gap:.2e}, "
         f"max budget excess {report.max_budget_excess:.2e}, "

@@ -1,6 +1,6 @@
 """Exact mixed-integer formulation of the chance-constrained multi-agent
-problem over reachable layers, its sparse matrix form, and the HiGHS
-solve path.
+problem over reachable layers, its sparse matrix form, and the solve path:
+a backward-DP certificate where no agent is shared, then HiGHS.
 
 Variables: one continuous flow x per (interaction, flow index, time, state,
 action) where flow index 0 carries utility and each criterion has its own
@@ -28,10 +28,13 @@ from .model import (
     reachable_layers,
     skey,
 )
-from .risk import Policy, execution_risk
+from .oracles import backward_dp
+from .risk import Policy, evaluate_table, execution_risk, expected_utility, policy_flows
 
 DEFAULT_MIP_REL_GAP = 1e-6
 RISK_VERIFY_SLACK = 1e-6
+# relative gap below the risk-blind bound that still counts as float noise
+DP_UTILITY_SLACK = 1e-9
 
 
 class BudgetExhausted(ValueError):
@@ -132,7 +135,10 @@ class IlpModel:
 @dataclass
 class SolveResult:
     """Outcome of a solve: status is one of optimal, infeasible,
-    budget_exhausted, or time_limit (best known solution returned)."""
+    budget_exhausted, or time_limit (best known solution returned).
+    ``decided_by`` names what settled it: "dp" (the backward-DP
+    certificate), "mip" (HiGHS) or "fallback" (the default-action policy
+    after a time-out without incumbent); None when no solve ran."""
 
     status: str
     objective: float = float("nan")
@@ -141,6 +147,7 @@ class SolveResult:
     risks: dict = field(default_factory=dict)
     solve_seconds: float = 0.0
     build_seconds: float = 0.0
+    decided_by: str | None = None
 
 
 def build_ilp(
@@ -331,7 +338,8 @@ class ScipyHighsBackend:
         mip_rel_gap: float | None = None,
     ):
         """Returns (status, x, objective), status one of optimal, infeasible
-        or time_limit (with the incumbent); anything else is a failure."""
+        or time_limit (x is the incumbent, or None when there is none);
+        anything else is a failure."""
         if matrix.n_cols == 0:
             return "optimal", np.zeros(0), 0.0
         data, rows_ix, cols_ix, lo, hi = [], [], [], [], []
@@ -366,8 +374,8 @@ class ScipyHighsBackend:
             return "optimal", res.x, -res.fun
         if res.status == 2:
             return "infeasible", None, float("nan")
-        if res.status == 1 and res.x is not None:
-            return "time_limit", res.x, -res.fun
+        if res.status == 1:
+            return "time_limit", res.x, float("nan") if res.x is None else -res.fun
         raise SolverFailure(f"HiGHS: {res.message}")
 
 
@@ -403,13 +411,78 @@ def solve(
     time_limit: float | None = None,
     mip_rel_gap: float | None = None,
 ) -> SolveResult:
-    """Solve a built model and read back the policy, flows, and post-hoc
-    risk evaluation.  Optimal results are verified against the budgets."""
+    """Decide a built model and read back the policy, flows, and post-hoc
+    risk evaluation.  The backward-DP certificate decides first where it
+    applies; otherwise HiGHS does, and its optimal results are verified
+    against the budgets.  A time-out without incumbent falls back to the
+    default-action policy when that fits every budget."""
     start = time.perf_counter()
+    result = _dp_certificate(model)
+    if result is None:
+        result = _solve_mip(model, time_limit, mip_rel_gap)
+    result.solve_seconds = time.perf_counter() - start
+    return result
+
+
+def _policy_result(model, status, decided_by, policy, objective, risks) -> SolveResult:
+    """A result for a policy not read off MIP flows; its flows are the
+    policy's occupancies, so the linear risk form can be checked on it."""
+    flows = {
+        j: policy_flows(model.instance, model.layers, policy, j)
+        for j in (None,) + model.criteria
+    }
+    return SolveResult(
+        status=status,
+        objective=objective,
+        policy=policy,
+        flows=flows,
+        risks=risks,
+        decided_by=decided_by,
+    )
+
+
+def _dp_certificate(model: IlpModel) -> SolveResult | None:
+    """Settle the model by one backward pass per interaction, or return None.
+
+    Applies when no agent belongs to two interaction points: the model then
+    has no consistency rows, and its interactions are independent SSPs
+    coupled only by the summed risk rows.  The utility-optimal least-risk
+    policy is optimal when it fits every budget; the instance is infeasible
+    when the summed least risks exceed a budget by more than
+    RISK_VERIFY_SLACK.  Anything in between is left to the MIP.
+    """
+    members = [v for point in model.instance.interactions for v in point.members]
+    if len(set(members)) < len(members):
+        return None
+    criteria = model.criteria
+    budgets = model.instance.risk_budgets
+    passes = {layers_i.id: backward_dp(layers_i, criteria) for layers_i in model.layers}
+    for n, j in enumerate(criteria):
+        least = sum(dp.least_risk[n] for dp in passes.values())
+        if least > budgets[j] + RISK_VERIFY_SLACK:
+            return SolveResult(status="infeasible", decided_by="dp")
+
+    utility = 0.0
+    risks = [0.0] * len(criteria)
+    for layers_i in model.layers:
+        u, r = evaluate_table(layers_i, passes[layers_i.id].table, criteria)
+        utility += u
+        risks = [total + x for total, x in zip(risks, r)]
+    bound = sum(dp.value for dp in passes.values())
+    if bound - utility > DP_UTILITY_SLACK * max(1.0, abs(bound)):
+        return None
+    if any(r > budgets[j] for j, r in zip(criteria, risks)):
+        return None
+    policy = Policy({i: dp.table for i, dp in passes.items()})
+    return _policy_result(model, "optimal", "dp", policy, utility, dict(zip(criteria, risks)))
+
+
+def _solve_mip(model: IlpModel, time_limit, mip_rel_gap) -> SolveResult:
     status, x, objective = ScipyHighsBackend().solve(model.matrix, time_limit, mip_rel_gap)
-    elapsed = time.perf_counter() - start
     if status == "infeasible":
-        return SolveResult(status="infeasible", solve_seconds=elapsed)
+        return SolveResult(status="infeasible", decided_by="mip")
+    if x is None:
+        return _default_action_fallback(model)
 
     policy = extract_policy(model, x)
     flows = {}
@@ -436,8 +509,33 @@ def solve(
         policy=policy,
         flows=flows,
         risks=risks,
-        solve_seconds=elapsed,
+        decided_by="mip",
     )
+
+
+def _default_action_fallback(model: IlpModel) -> SolveResult:
+    """The default-joint-action policy (all-wait in the intersection, where
+    it is feasible by construction) as a time_limit result when it fits
+    every budget; SolverFailure otherwise."""
+    instance, layers = model.instance, model.layers
+    policy = Policy(
+        {
+            layers_i.id: {
+                (s, k): layers_i.view.default_joint_action()
+                for k, s in layers_i.decision_points()
+            }
+            for layers_i in layers
+        }
+    )
+    risks = {j: execution_risk(instance, layers, policy, j) for j in model.criteria}
+    over = {j: r for j, r in risks.items() if r > instance.risk_budgets[j]}
+    if over:
+        raise SolverFailure(
+            "HiGHS reached its time limit without an incumbent, and the "
+            f"default-action policy exceeds budgets: {over}"
+        )
+    utility = expected_utility(instance, layers, policy)
+    return _policy_result(model, "time_limit", "fallback", policy, utility, risks)
 
 
 def solve_instance(

@@ -3,9 +3,11 @@
 ``brute_force_optimal`` exhaustively enumerates deterministic
 non-stationary assignments over the reachable layers, evaluating each with
 the risk-module recursion; it exists to certify the ILP on small instances.
-``dp_optimal_utility`` is the risk-blind dynamic-programming optimum used
-for zero-risk checks, and ``fcfs_plan`` is the first-come-first-serve
-baseline with a per-action risk bound.
+``backward_dp`` is the one backward dynamic program: it gives the
+risk-blind optimum, a utility-optimal policy of least execution risk and
+the least risk of any policy; ``ilp.solve`` uses it as a certificate and
+``dp_optimal_utility`` sums its optima as an upper bound.  ``fcfs_plan`` is
+the first-come-first-serve baseline with a per-action risk bound.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ import numpy as np
 
 from .model import InteractionLayers, LayeredSpace, MccSspInstance, reachable_layers, skey
 from .risk import Policy, evaluate_table, interaction_execution_risk
+
+
+UTILITY_TIE_TOL = 1e-12
 
 
 class CapExceeded(RuntimeError):
@@ -36,24 +41,70 @@ class BruteForceResult:
     policies_evaluated: int
 
 
+@dataclass
+class BackwardDp:
+    """One interaction's backward pass (see ``backward_dp``)."""
+
+    value: float  # risk-blind optimum at the initial state
+    table: dict  # {(state, k): action}, utility-optimal with least risk
+    least_risk: tuple  # least execution risk of any policy, per criterion
+
+
+def backward_dp(layers_i: InteractionLayers, criteria: tuple = ()) -> BackwardDp:
+    """Finite-horizon backward value iteration that also tracks risk.
+
+    value_k(s) = max_a u(s, a) + sum_s' T(s, a, s') value_{k+1}(s').  At
+    every (s, k) the table picks, among the actions within UTILITY_TIE_TOL
+    (relative) of that max, the one of least execution risk
+    er(s) = rt(s) + (1 - rt(s)) * sum_s' T(s, a, s') er(s'), comparing the
+    criteria in order and breaking ties towards the earlier joint action.
+    The same recursion with the min over all actions gives, per criterion,
+    the least execution risk of any policy: a lower bound on what any
+    policy of this interaction can achieve.
+    """
+    rts = [layers_i.state_risks(j) for j in criteria]
+    edges = layers_i.edges
+    utilities = layers_i.utilities
+    horizon = len(layers_i.layers) - 1
+    value = {s: 0.0 for s in layers_i.layers[horizon]}
+    er = {s: tuple(rt[s] for rt in rts) for s in layers_i.layers[horizon]}
+    least = er
+    table = {}
+    for k in range(horizon - 1, -1, -1):
+        nxt_value, nxt_er, nxt_least = value, er, least
+        value, er, least = {}, {}, {}
+        for s in layers_i.layers[k]:
+            q = [
+                utilities[(s, a)] + sum(p * nxt_value[succ] for succ, p in edges[(s, a)])
+                for a in layers_i.joint_actions
+            ]
+            best = max(q)
+            tie = best - UTILITY_TIE_TOL * max(1.0, abs(best))
+            low = [float("inf")] * len(rts)
+            chosen = chosen_er = None
+            for a, qa in zip(layers_i.joint_actions, q):
+                succs = edges[(s, a)]
+                for n in range(len(rts)):
+                    low[n] = min(low[n], sum(p * nxt_least[succ][n] for succ, p in succs))
+                if qa >= tie:
+                    er_a = tuple(
+                        rt[s] + (1.0 - rt[s]) * sum(p * nxt_er[succ][n] for succ, p in succs)
+                        for n, rt in enumerate(rts)
+                    )
+                    if chosen is None or er_a < chosen_er:
+                        chosen, chosen_er = a, er_a
+            table[(s, k)] = chosen
+            value[s] = best
+            er[s] = chosen_er
+            least[s] = tuple(rt[s] + (1.0 - rt[s]) * lo for rt, lo in zip(rts, low))
+    root = layers_i.layers[0][0]
+    return BackwardDp(value[root], table, least[root])
+
+
 def dp_optimal_utility(instance: MccSspInstance, layers: LayeredSpace) -> float:
-    """Unconstrained finite-horizon optimum by backward value iteration,
-    summed over interaction points."""
-    total = 0.0
-    for layers_i in layers:
-        horizon = len(layers_i.layers) - 1
-        value = {s: 0.0 for s in layers_i.layers[horizon]}
-        for k in range(horizon - 1, -1, -1):
-            nxt = value
-            value = {}
-            for s in layers_i.layers[k]:
-                value[s] = max(
-                    layers_i.utilities[(s, a)]
-                    + sum(p * nxt[succ] for succ, p in layers_i.edges[(s, a)])
-                    for a in layers_i.joint_actions
-                )
-        total += value[layers_i.layers[0][0]]
-    return total
+    """Unconstrained finite-horizon optimum, summed over interaction
+    points: an upper bound on the constrained optimum."""
+    return sum(backward_dp(layers_i).value for layers_i in layers)
 
 
 # ---------------------------------------------------------------------------

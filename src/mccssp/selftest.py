@@ -157,6 +157,7 @@ class EquivalenceReport:
     solved: int = 0
     infeasible: int = 0
     budget_exhausted: int = 0
+    dp_decided: int = 0  # optimal or infeasible by the backward-DP certificate
     resampled: int = 0
     max_objective_gap: float = 0.0
     max_budget_excess: float = 0.0
@@ -174,6 +175,8 @@ def check_instance(instance: MccSspInstance, cap: int, report: EquivalenceReport
     layers = reachable_layers(instance)
     result = solve_instance(instance, layers)
     oracle = brute_force_optimal(instance, layers, cap=cap)
+    if result.decided_by == "dp":
+        report.dp_decided += 1
 
     if result.status == "budget_exhausted":
         report.budget_exhausted += 1

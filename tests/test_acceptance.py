@@ -16,7 +16,7 @@ import pytest
 from scipy.stats import spearmanr, wilcoxon
 
 from mccssp.grid import GridSpec, benchmark_rows, generate_grid_instance
-from mccssp.ilp import SolverFailure, build_ilp, solve_instance
+from mccssp.ilp import ScipyHighsBackend, SolverFailure, build_ilp, solve_instance
 from mccssp.intersection import (
     VehicleState,
     build_intersection_instance,
@@ -39,18 +39,42 @@ LINEAR_TOL = 1e-9
 CHAIN_TOL = 1e-12
 
 
-def test_oracle_equivalence_200_instances():
+def test_oracle_equivalence_200_instances(monkeypatch):
+    from mccssp import selftest
+
+    decided = []
+    solve = selftest.solve_instance
+
+    def recording_solve(instance, *args, **kwargs):
+        result = solve(instance, *args, **kwargs)
+        if result.decided_by == "dp":
+            decided.append((instance, result))
+        return result
+
+    monkeypatch.setattr(selftest, "solve_instance", recording_solve)
     report = run_oracle_equivalence(n_instances=200, seed=20_240)
     for failure in report.failures:
         print("FAIL detail:", failure)
     assert report.ok, report.failures
     assert report.instances == 200
+    # keep the formulation under test where the DP certificate decided:
+    # HiGHS on the same matrix must reach the same verdict and objective
+    # (resampled draws are recorded too, so there can be more of them)
+    assert len(decided) >= report.dp_decided > 0
+    mip_gap = 0.0
+    for instance, result in decided:
+        status, _, objective = ScipyHighsBackend().solve(build_ilp(instance).matrix)
+        assert status == result.status
+        if status == "optimal":
+            mip_gap = max(mip_gap, abs(objective - result.objective))
+    assert mip_gap <= OBJECTIVE_TOL
     print(
         f"PASS oracle equivalence: 200 instances ({report.solved} solved, "
         f"{report.infeasible} infeasible, {report.budget_exhausted} budget-exhausted), "
         f"max objective gap {report.max_objective_gap:.2e} <= {OBJECTIVE_TOL}, "
         f"max budget excess {report.max_budget_excess:.2e} <= {RISK_TOL}, "
-        f"{report.seconds:.1f}s"
+        f"{report.seconds:.1f}s; {report.dp_decided} decided by the DP certificate, "
+        f"HiGHS on their matrices within {mip_gap:.2e}"
     )
 
 

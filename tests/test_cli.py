@@ -20,6 +20,8 @@ def test_solve_with_oracle(instance_file, capsys):
     assert main(["solve", instance_file, "--oracle"]) == 0
     out = capsys.readouterr().out
     assert "objective 1.000000, oracle agrees" in out
+    # the risk-blind optimum is over budget, so HiGHS decides
+    assert "decided_by mip" in out
 
 
 def test_solve_prints_policy(instance_file, capsys):
@@ -160,4 +162,5 @@ def test_pft_pipeline(tmp_path, capsys):
 
 def test_selftest_exit_code(capsys):
     assert main(["selftest", "--instances", "10", "--quiet", "--seed", "3"]) == 0
-    assert "10 instances" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "10 instances" in out and "decided by the DP certificate" in out

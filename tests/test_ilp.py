@@ -1,11 +1,17 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from builders import make_chain_instance, make_risky_safe_instance
+from mccssp.grid import GridSpec, generate_grid_instance
 from mccssp.ilp import (
     BudgetExhausted,
     MatrixForm,
     ScipyHighsBackend,
+    SolverFailure,
     build_ilp,
     solve,
     solve_instance,
@@ -17,7 +23,7 @@ from mccssp.model import (
     StateRisk,
     reachable_layers,
 )
-from mccssp.oracles import dp_optimal_utility
+from mccssp.oracles import brute_force_optimal, dp_optimal_utility
 from mccssp.risk import execution_risk, linear_risk_from_flows
 
 
@@ -79,7 +85,8 @@ def test_linear_form_identity_at_optimum():
         assert abs(linear - recursion) < 1e-9
 
 
-def test_consistency_variables_for_shared_agents():
+def _shared_agent_instance():
+    """Agent "s" belongs to both interaction points."""
     shared = AgentMdp(
         states={0, 1},
         actions=("x", "y"),
@@ -98,12 +105,74 @@ def test_consistency_variables_for_shared_agents():
         InteractionPoint(0, ("s", "u"), (True, True), {}),
         InteractionPoint(1, ("s",), (False,), {}),
     )
-    inst = MccSspInstance({"s": shared, "u": other}, points, 1, {"j": 1.0})
-    model = build_ilp(inst)
+    return MccSspInstance({"s": shared, "u": other}, points, 1, {"j": 1.0})
+
+
+def test_consistency_variables_for_shared_agents():
+    model = build_ilp(_shared_agent_instance())
     cons_rows = [r for r in model.matrix.rows if r[0].startswith("cons_")]
     y_cols = [n for n in model.matrix.col_names if n.startswith("y_")]
     assert len(y_cols) == 2  # one selector per shared-agent action
     assert len(cons_rows) == 4  # two interactions x two actions
+
+
+def _certified(instance):
+    """Solve and brute-force one instance; the two must agree."""
+    layers = reachable_layers(instance)
+    result = solve_instance(instance, layers)
+    oracle = brute_force_optimal(instance, layers)
+    assert result.status == oracle.status
+    if oracle.status == "optimal":
+        assert abs(result.objective - oracle.objective) < 1e-6
+        for j, risk in result.risks.items():
+            assert risk <= instance.risk_budgets[j]
+    return result, layers
+
+
+def test_certificate_decides_riskless_grid_cell():
+    inst = generate_grid_instance(GridSpec(seed=13, n_agents=2, horizon=2))
+    result, layers = _certified(inst)
+    assert result.decided_by == "dp"
+    assert abs(result.objective - dp_optimal_utility(inst, layers)) < 1e-9
+
+
+# 30% risky cells of risk 0.3 under a 0.1 budget: the risk-blind optimum
+# of seed 54 is over budget but a cheaper policy fits, and every policy of
+# seed 28 is over budget
+BINDING = dict(width=50, height=50, risky_fraction=0.3, risky_risk_value=0.3,
+               risk_budget=0.1, n_agents=1, horizon=3)
+
+
+def test_certificate_leaves_binding_budget_to_the_mip():
+    inst = generate_grid_instance(GridSpec(seed=54, **BINDING))
+    result, layers = _certified(inst)
+    assert (result.status, result.decided_by) == ("optimal", "mip")
+    assert result.objective < dp_optimal_utility(inst, layers) - 1e-6
+
+
+def test_certificate_proves_infeasible():
+    result, _ = _certified(generate_grid_instance(GridSpec(seed=28, **BINDING)))
+    assert (result.status, result.decided_by) == ("infeasible", "dp")
+
+
+def test_certificate_skips_shared_agents():
+    result, _ = _certified(_shared_agent_instance())
+    assert (result.status, result.decided_by) == ("optimal", "mip")
+
+
+def test_no_incumbent_with_unsafe_default_raises(monkeypatch):
+    # the default action is the risky one: 0.2 risk against a 0.1 budget
+    inst = make_risky_safe_instance(delta=0.1)
+    agent = dataclasses.replace(inst.agents["v"], wait_action="risky")
+    inst = dataclasses.replace(inst, agents={"v": agent})
+    monkeypatch.setattr(
+        scipy.optimize, "milp",
+        lambda *args, **kwargs: SimpleNamespace(
+            status=1, x=None, fun=None, message="time limit reached"
+        ),
+    )
+    with pytest.raises(SolverFailure):
+        solve_instance(inst, time_limit=1.0)
 
 
 def test_extracted_policy_deterministic_and_default_on_zero_flow():

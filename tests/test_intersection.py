@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mccssp.ilp import solve_instance
 from mccssp.intersection import (
@@ -75,6 +77,28 @@ def test_exactly_one_of_colocated_pair_goes(small_scenario):
     }
     assert sum(a.startswith("go") for a in actions.values()) == 1
     assert result.risks["collision"] <= 0.05 + 1e-9
+
+
+def test_no_incumbent_falls_back_to_all_wait(small_scenario, monkeypatch):
+    # HiGHS stopped by its time limit before finding any incumbent
+    monkeypatch.setattr(
+        scipy.optimize, "milp",
+        lambda *args, **kwargs: SimpleNamespace(
+            status=1, x=None, fun=None, message="time limit reached"
+        ),
+    )
+    vehicles = _avs([("N0", 0), ("W1", 0)])
+    inst, info = build_intersection_instance(
+        small_scenario, vehicles, green_side="N", horizon=2, delta=0.05
+    )
+    result = solve_instance(inst, time_limit=1.0)
+    assert (result.status, result.decided_by) == ("time_limit", "fallback")
+    assert result.risks["collision"] == 0.0
+    for pid in info.singleton_ids.values():
+        assert set(result.policy.assignments[pid].values()) == {("wait",)}
+    # a receding-horizon run keeps planning instead of raising
+    metrics = simulate(small_scenario, "mccssp", duration_s=12, seed=5, horizon=1, delta=0.05)
+    assert metrics.planning_steps > 0
 
 
 def test_generous_budget_admits_both(small_scenario):
