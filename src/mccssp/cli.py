@@ -256,9 +256,13 @@ def cmd_pft(args) -> int:
                 tube = Pft.from_json(handle.read())
             maneuvers[tube.label or path] = tube
         geometry = VehicleGeometry(args.length, args.width)
-        table = precompute_risk_table(
-            maneuvers, geometry, n=args.samples, seed=args.seed, window=args.window
-        )
+        try:
+            table = precompute_risk_table(
+                maneuvers, geometry, n=args.samples, seed=args.seed, window=args.window
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         table.save(args.out)
         print(f"table {table.axis_sizes} (window {table.window}) -> {args.out}")
         return 0

@@ -24,6 +24,8 @@ from .model import state_risk_tilde
 COV_EPSILON = 1e-6  # m^2, regularization added to fitted covariances
 DEFAULT_HZ = 6.0
 DEFAULT_SAMPLES = 10_000
+SIGMA_REACH = 6.0  # standard deviations past which a step-matrix cell is not sampled
+RING_MARGIN = 1e-9  # m, slack on the ring radius, far above rounding error
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,11 +129,14 @@ class VehicleGeometry:
     def circle_offsets(self) -> tuple:
         return (-self.length / 3.0, 0.0, self.length / 3.0)
 
+    def offsets_at(self, heading: float) -> np.ndarray:
+        """Circle centers relative to the vehicle's position, (3, 2)."""
+        direction = np.array([math.cos(heading), math.sin(heading)])
+        return np.outer(self.circle_offsets, direction)
+
     def circle_centers(self, positions: np.ndarray, heading: float) -> np.ndarray:
         """Circle centers for sampled positions (n, 2) -> (n, 3, 2)."""
-        direction = np.array([math.cos(heading), math.sin(heading)])
-        offsets = np.outer(self.circle_offsets, direction)  # (3, 2)
-        return positions[:, None, :] + offsets[None, :, :]
+        return positions[:, None, :] + self.offsets_at(heading)[None, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -382,26 +387,46 @@ def _chol2(cov: np.ndarray) -> np.ndarray:
     raise ValueError(f"covariance not factorizable: {cov!r}")
 
 
-def _offsets_at(geometry: VehicleGeometry, heading: float) -> np.ndarray:
-    direction = np.array([math.cos(heading), math.sin(heading)])
-    return np.outer(geometry.circle_offsets, direction)  # (3, 2)
+def _ring_checks(offs1: np.ndarray, offs2: np.ndarray, touch2: float):
+    """Circle-pair checks beyond the middle pair for K cells.
+
+    ``offs1`` and ``offs2`` are (K, 3, 2) circle offsets.  Returns the
+    offset differences o1 - o2 of the eight other circle pairs, (K, 8, 2),
+    and the squared radius (K,) outside which no sample can touch at any of
+    them: a hit at difference d needs |rel + d| <= r, so |rel| <= r + |d|."""
+    diffs = (offs1[:, :, None, :] - offs2[:, None, :, :]).reshape(-1, 9, 2)
+    diffs = np.delete(diffs, 4, axis=1)  # the middle pair: difference 0
+    reach = np.sqrt((diffs * diffs).sum(axis=2).max(axis=1))
+    return diffs, (math.sqrt(touch2) + reach + RING_MARGIN) ** 2
 
 
-def _cell_prob(rng, mean1, chol1, offs1, mean2, chol2, offs2, touch2, n) -> float:
+def _cell_prob(rng, n, mean1, chol1t, mean2, chol2t, diffs, touch2, ring2) -> float:
     """One Monte Carlo cell; the position draws consume the stream in a
     fixed order so any caller with the same stream reproduces the value
-    exactly (one combined draw equals two consecutive ones)."""
+    exactly (one combined draw equals two consecutive ones).
+
+    Means are (2, 1) columns, ``chol*t`` transposed Cholesky factors, and
+    ``diffs``/``ring2`` one cell of ``_ring_checks``.  Each circle-pair
+    check is ``dx * dx + dy * dy <= touch2`` on ``rel + d``, so the count
+    equals the full nine-pair test bit for bit; the middle pair (d = 0) runs
+    on every sample, the other eight only on misses inside the ring."""
     z = rng.standard_normal((2 * n, 2))
-    pos1 = mean1 + z[:n] @ chol1.T
-    pos2 = mean2 + z[n:] @ chol2.T
-    rel = pos1 - pos2  # (n, 2)
-    hit = np.zeros(n, dtype=bool)
-    for o1 in offs1:
-        for o2 in offs2:
-            dx = rel[:, 0] + (o1[0] - o2[0])
-            dy = rel[:, 1] + (o1[1] - o2[1])
-            hit |= (dx * dx + dy * dy) <= touch2
-    return float(hit.mean())
+    rel = np.add((z[:n] @ chol1t).T, mean1, out=np.empty((2, n)))
+    rel -= np.add((z[n:] @ chol2t).T, mean2, out=np.empty((2, n)))
+    rx, ry = rel
+    r2 = rx * rx
+    r2 += ry * ry
+    hit = r2 <= touch2
+    near = r2 <= ring2  # ring2 >= touch2, so every hit is near
+    count = int(np.count_nonzero(hit))
+    if np.count_nonzero(near) > count:
+        near ^= hit
+        dx = rx[near] + diffs[:, :1]  # (8, m)
+        dy = ry[near] + diffs[:, 1:]
+        d2 = dx * dx
+        d2 += dy * dy
+        count += int(np.count_nonzero((d2 <= touch2).any(axis=0)))
+    return count / n
 
 
 def cell_seed(seed: int, pair_index: int, idx1: int, idx2: int):
@@ -426,17 +451,20 @@ def collision_prob_at(
         raise IndexError("tube index out of range")
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    touch2 = (g1.radius + g2.radius) ** 2
+    diffs, ring2 = _ring_checks(
+        g1.offsets_at(p1.heading_at(t1))[None], g2.offsets_at(p2.heading_at(t2))[None], touch2
+    )
     return _cell_prob(
-        rng,
-        p1.means[t1],
-        _chol2(p1.covariances[t1]),
-        _offsets_at(g1, p1.heading_at(t1)),
-        p2.means[t2],
-        _chol2(p2.covariances[t2]),
-        _offsets_at(g2, p2.heading_at(t2)),
-        (g1.radius + g2.radius) ** 2,
+        np.random.default_rng(seed),
         n,
+        p1.means[t1][:, None],
+        _chol2(p1.covariances[t1]).T,
+        p2.means[t2][:, None],
+        _chol2(p2.covariances[t2]).T,
+        diffs[0],
+        touch2,
+        ring2[0],
     )
 
 
@@ -536,32 +564,35 @@ def step_probability_matrix(
     n: int,
     seed: int,
     pair_index: int = 0,
-    sigma_reach: float = 6.0,
 ) -> np.ndarray:
     """Per-index-pair collision probabilities, skipping pairs whose means
-    are too far apart for any sampled overlap (``sigma_reach`` standard
+    are too far apart for any sampled overlap (``SIGMA_REACH`` standard
     deviations plus vehicle extents).  Sampled cells reuse the shared
     per-cell streams, so entries equal collision_prob_at exactly."""
+    if n < 1:
+        raise ValueError("need at least one sample")
     out = np.zeros((len(p1), len(p2)))
     ext1 = g1.radius + g1.length / 3.0
     ext2 = g2.radius + g2.length / 3.0
     sd1 = np.sqrt(np.linalg.eigvalsh(p1.covariances)[:, -1])
     sd2 = np.sqrt(np.linalg.eigvalsh(p2.covariances)[:, -1])
     dists = np.linalg.norm(p1.means[:, None, :] - p2.means[None, :, :], axis=2)
-    reach = ext1 + ext2 + sigma_reach * (sd1[:, None] + sd2[None, :])
-    cells = np.nonzero(dists <= reach)
-    if not len(cells[0]):
+    reach = ext1 + ext2 + SIGMA_REACH * (sd1[:, None] + sd2[None, :])
+    cells1, cells2 = np.nonzero(dists <= reach)
+    if not len(cells1):
         return out
-    chol1 = [_chol2(c) for c in p1.covariances]
-    chol2 = [_chol2(c) for c in p2.covariances]
-    offs1 = [_offsets_at(g1, h) for h in p1.headings()]
-    offs2 = [_offsets_at(g2, h) for h in p2.headings()]
+    means1, means2 = p1.means[:, :, None], p2.means[:, :, None]
+    chol1t = [_chol2(c).T for c in p1.covariances]
+    chol2t = [_chol2(c).T for c in p2.covariances]
+    offs1 = np.array([g1.offsets_at(h) for h in p1.headings()])
+    offs2 = np.array([g2.offsets_at(h) for h in p2.headings()])
     touch2 = (g1.radius + g2.radius) ** 2
-    for i1, i2 in zip(*cells):
-        rng = np.random.default_rng(cell_seed(seed, pair_index, int(i1), int(i2)))
+    diffs, ring2 = _ring_checks(offs1[cells1], offs2[cells2], touch2)
+    for k, (i1, i2) in enumerate(zip(cells1.tolist(), cells2.tolist())):
+        rng = np.random.default_rng(cell_seed(seed, pair_index, i1, i2))
         out[i1, i2] = _cell_prob(
-            rng, p1.means[i1], chol1[i1], offs1[i1],
-            p2.means[i2], chol2[i2], offs2[i2], touch2, n,
+            rng, n, means1[i1], chol1t[i1], means2[i2], chol2t[i2],
+            diffs[k], touch2, ring2[k],
         )
     return out
 

@@ -160,6 +160,22 @@ def test_pft_pipeline(tmp_path, capsys):
     assert table.window == 5 and len(table.axis_sizes) == 2
 
 
+def test_risk_table_without_samples_is_input_error(tmp_path, capsys):
+    from mccssp.pft import Pft
+
+    paths = []
+    for label, y in (("a", 0.0), ("b", 1.0)):
+        means = np.stack([np.arange(6) * 0.5, np.full(6, y)], axis=1)
+        tube = Pft(1 / 6, means, np.tile(0.01 * np.eye(2), (6, 1, 1)), label=label)
+        paths.append(str(tmp_path / f"{label}.json"))
+        open(paths[-1], "w").write(tube.to_json())
+    table_path = str(tmp_path / "table.npz")
+    code = main(["pft", "risk-table", "--pft", *paths, "--out", table_path, "--samples", "0"])
+    assert code == 1
+    assert "need at least one sample" in capsys.readouterr().err
+    assert not os.path.exists(table_path)
+
+
 def test_selftest_exit_code(capsys):
     assert main(["selftest", "--instances", "10", "--quiet", "--seed", "3"]) == 0
     out = capsys.readouterr().out

@@ -9,6 +9,7 @@ from mccssp.pft import (
     Pft,
     RiskTable,
     VehicleGeometry,
+    _chol2,
     cell_seed,
     cluster_trajectories,
     collision_prob_at,
@@ -264,9 +265,96 @@ def test_risk_table_matches_direct_sampling_per_seed(crossing_tubes):
 def test_step_matrix_equals_cellwise_direct_calls(crossing_tubes):
     pa, pb = crossing_tubes
     matrix = step_probability_matrix(pa, pb, GEOM, GEOM, 800, seed=4)
-    i1, i2 = len(pa) // 2, len(pb) // 2
-    direct = collision_prob_at(pa, i1, pb, i2, GEOM, GEOM, 800, seed=cell_seed(4, 0, i1, i2))
-    assert matrix[i1, i2] == direct
+    for i1 in range(len(pa)):
+        for i2 in range(len(pb)):
+            direct = collision_prob_at(
+                pa, i1, pb, i2, GEOM, GEOM, 800, seed=cell_seed(4, 0, i1, i2)
+            )
+            assert matrix[i1, i2] == direct, (i1, i2)
+    # pruned cells are exact zeros, and the sampled ones are not all zero
+    assert (matrix == 0.0).any() and (matrix > 0.0).any()
+
+
+def _nine_pass_reference(p1, t1, p2, t2, g1, g2, n, seed):
+    """The plain kernel: every sample tested against all nine circle pairs."""
+    rng = np.random.default_rng(seed)
+    offs1 = g1.offsets_at(p1.heading_at(t1))
+    offs2 = g2.offsets_at(p2.heading_at(t2))
+    touch2 = (g1.radius + g2.radius) ** 2
+    z = rng.standard_normal((2 * n, 2))
+    pos1 = p1.means[t1] + z[:n] @ _chol2(p1.covariances[t1]).T
+    pos2 = p2.means[t2] + z[n:] @ _chol2(p2.covariances[t2]).T
+    rel = pos1 - pos2
+    hit = np.zeros(n, dtype=bool)
+    for o1 in offs1:
+        for o2 in offs2:
+            dx = rel[:, 0] + (o1[0] - o2[0])
+            dy = rel[:, 1] + (o1[1] - o2[1])
+            hit |= (dx * dx + dy * dy) <= touch2
+    return float(hit.mean())
+
+
+def _random_tube(rng, length, origin, heading, spread):
+    direction = np.array([math.cos(heading), math.sin(heading)])
+    means = origin + np.arange(length)[:, None] * 1.5 * direction
+    covs = []
+    for _ in range(length):
+        a = rng.normal(size=(2, 2)) * spread
+        covs.append(a @ a.T + 1e-6 * np.eye(2))
+    return Pft(1 / 6, means, np.array(covs), heading=np.full(length, heading))
+
+
+@pytest.mark.parametrize("turn", [0.0, math.pi / 2, math.pi, 1.1])
+def test_kernel_bit_identical_to_nine_pass_reference(turn):
+    # parallel, crossing, head-on and oblique headings; unequal geometries
+    rng = np.random.default_rng(int(turn * 1000) + 17)
+    g1, g2 = VehicleGeometry(4.4, 1.9), VehicleGeometry(7.0, 2.2)
+    values = []
+    for trial in range(3):
+        heading = rng.uniform(-math.pi, math.pi)
+        gap = rng.uniform(3.0, 9.0) * np.array([math.cos(heading + 2.0), math.sin(heading + 2.0)])
+        p1 = _random_tube(rng, 6, np.zeros(2), heading, 0.5)
+        p2 = _random_tube(rng, 6, gap, heading + turn, 0.5)
+        matrix = step_probability_matrix(p1, p2, g1, g2, 300, seed=trial, pair_index=2)
+        for i1 in range(len(p1)):
+            for i2 in range(len(p2)):
+                seed = cell_seed(trial, 2, i1, i2)
+                ref = _nine_pass_reference(p1, i1, p2, i2, g1, g2, 300, seed)
+                assert collision_prob_at(p1, i1, p2, i2, g1, g2, 300, seed) == ref
+                assert matrix[i1, i2] == ref
+                values.append(ref)
+    assert 0.0 in values and any(0.0 < v < 1.0 for v in values)
+
+
+@pytest.mark.parametrize(
+    "offset, heading2, expected",
+    [
+        ((0.0, 0.0), math.pi / 2, 1.0),  # middle circles overlap
+        ((5.5, 0.0), 0.0, 1.0),  # nose to tail: every hit is in the ring
+        ((0.0, 5.0), 0.0, 0.0),  # side by side: all samples in the ring, no hit
+        ((6.75, 0.0), 0.0, None),  # nose to tail at the touching distance
+    ],
+)
+def test_kernel_ring_cases_match_reference(offset, heading2, expected):
+    g1, g2 = VehicleGeometry(4.4, 1.9), VehicleGeometry(7.0, 2.2)
+    cov = np.diag([0.01, 0.01])[None]
+    p1 = Pft(1 / 6, np.zeros((1, 2)), cov, heading=np.zeros(1))
+    p2 = Pft(1 / 6, np.array([offset]), cov, heading=np.array([heading2]))
+    seed = cell_seed(3, 0, 0, 0)
+    value = collision_prob_at(p1, 0, p2, 0, g1, g2, 2000, seed)
+    assert value == _nine_pass_reference(p1, 0, p2, 0, g1, g2, 2000, seed)
+    if expected is None:
+        assert 0.0 < value < 1.0
+    else:
+        assert value == expected
+
+
+def test_step_matrix_needs_a_sample(crossing_tubes):
+    pa, pb = crossing_tubes
+    with pytest.raises(ValueError, match="need at least one sample"):
+        step_probability_matrix(pa, pb, GEOM, GEOM, 0, seed=4)
+    with pytest.raises(ValueError, match="need at least one sample"):
+        precompute_risk_table({"a": pa, "b": pb}, GEOM, n=0, seed=4)
 
 
 def test_risk_table_monotone_in_step_probabilities():
