@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import asdict
 
@@ -96,13 +97,14 @@ def cmd_solve(args) -> int:
             return 0
         if result.status == "optimal" and oracle.status == "optimal":
             gap = abs(result.objective - oracle.objective)
-            verdict = "oracle agrees" if gap <= 1e-6 else f"ORACLE MISMATCH (gap {gap})"
+            agree = gap <= 1e-6
+            verdict = "oracle agrees" if agree else f"ORACLE MISMATCH (gap {gap})"
             print(f"objective {result.objective:.6f}, {verdict}")
         else:
             agree = (result.status != "optimal") == (oracle.status != "optimal")
             print(f"oracle status {oracle.status}: {'agrees' if agree else 'MISMATCH'}")
-            if not agree:
-                return 2
+        if not agree:
+            return 2
     return 0
 
 
@@ -272,11 +274,19 @@ def cmd_pft(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .selftest import run_oracle_equivalence
+    from . import selftest
 
-    report = run_oracle_equivalence(
-        n_instances=args.instances, seed=args.seed, verbose=not args.quiet
-    )
+    # progress lines are logged at INFO; show them unless --quiet
+    logger = logging.getLogger(selftest.__name__)
+    handler, level = logging.StreamHandler(sys.stdout), logger.level
+    if not args.quiet:
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+    try:
+        report = selftest.run_oracle_equivalence(n_instances=args.instances, seed=args.seed)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
     print(
         f"{report.instances} instances: {report.solved} solved, "
         f"{report.infeasible} infeasible, {report.budget_exhausted} budget-exhausted "

@@ -10,6 +10,10 @@ row per criterion with right side reduced by the initial states' intrinsic
 risk, at-most-one-action rows, x <= z binding for every flow, and action
 consistency rows chaining matching states of interactions that share an
 agent.
+
+The model is assembled once, as one CSR matrix with row bounds; every
+column is bounded to [0, 1], and row and column names exist only in LP
+export.
 """
 
 from __future__ import annotations
@@ -17,17 +21,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 import scipy.optimize
 from scipy import sparse
 
-from .model import (
-    LayeredSpace,
-    MccSspInstance,
-    reachable_layers,
-    skey,
-)
+from .model import LayeredSpace, MccSspInstance, reachable_layers, skey
 from .oracles import backward_dp
 from .risk import Policy, evaluate_table, execution_risk, expected_utility, policy_flows
 
@@ -50,25 +50,48 @@ class SolverFailure(RuntimeError):
     """HiGHS failed or returned something unusable."""
 
 
+def _names(blocks) -> list:
+    """Names of consecutive runs (prefixes, count): entry n of a run is
+    named after prefixes[n % len(prefixes)]."""
+    return [f"{pre[n % len(pre)]}_{n}" for pre, count in blocks for n in range(count)]
+
+
 @dataclass
 class MatrixForm:
-    """Sparse maximization model: columns with bounds/integrality, an
-    objective, and rows as (name, lower, upper, [(col, coeff), ...])."""
+    """Sparse maximization model: row_lower <= a @ x <= row_upper, every
+    column in [0, 1], an objective and integrality (0 continuous, 1
+    binary).  ``col_blocks`` and ``row_blocks`` name consecutive runs of
+    columns and rows; names are made only on demand, for LP export."""
 
-    col_names: list
-    lower: list
-    upper: list
-    integrality: list  # 0 continuous, 1 integer
-    objective: list
-    rows: list
+    a: sparse.csr_matrix
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    objective: np.ndarray
+    integrality: np.ndarray
+    col_blocks: tuple = ()
+    row_blocks: tuple = ()
 
     @property
     def n_cols(self) -> int:
-        return len(self.col_names)
+        return self.a.shape[1]
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.a.shape[0]
+
+    @property
+    def col_names(self) -> list:
+        return _names(self.col_blocks)
+
+    @property
+    def rows(self) -> list:
+        """(name, lower, upper, [(col, coeff), ...]) per row, read off the matrix."""
+        ptr, cols, vals = (v.tolist() for v in (self.a.indptr, self.a.indices, self.a.data))
+        bounds = zip(_names(self.row_blocks), self.row_lower.tolist(), self.row_upper.tolist())
+        return [
+            (name, lo, hi, list(zip(cols[ptr[r]:ptr[r + 1]], vals[ptr[r]:ptr[r + 1]])))
+            for r, (name, lo, hi) in enumerate(bounds)
+        ]
 
     def to_lp_text(self) -> str:
         """Standard LP text format, for debugging with external tools."""
@@ -77,17 +100,18 @@ class MatrixForm:
             sign = "-" if coef < 0 else ("" if lead else "+")
             return f"{sign} {abs(coef):.17g} {name}"
 
+        names = self.col_names
         lines = ["Maximize"]
         obj = " ".join(
-            term(c, self.col_names[idx], idx == 0)
-            for idx, c in enumerate(self.objective)
+            term(c, names[idx], idx == 0)
+            for idx, c in enumerate(self.objective.tolist())
             if c != 0.0
         )
-        lines.append(f" obj: {obj if obj else '0 ' + self.col_names[0] if self.col_names else ''}")
+        lines.append(f" obj: {obj if obj else '0 ' + names[0] if names else ''}")
         lines.append("Subject To")
         for name, lo, hi, coeffs in self.rows:
             expr = " ".join(
-                term(v, self.col_names[c], n == 0) for n, (c, v) in enumerate(coeffs)
+                term(v, names[c], n == 0) for n, (c, v) in enumerate(coeffs)
             )
             if lo == hi:
                 lines.append(f" {name}: {expr} = {lo:.17g}")
@@ -97,39 +121,31 @@ class MatrixForm:
                 if lo != -math.inf:
                     lines.append(f" {name}_lo: {expr} >= {lo:.17g}")
         lines.append("Bounds")
-        for idx, name in enumerate(self.col_names):
-            lines.append(f" {self.lower[idx]:.17g} <= {name} <= {self.upper[idx]:.17g}")
-        binaries = [
-            self.col_names[idx]
-            for idx in range(self.n_cols)
-            if self.integrality[idx]
-        ]
+        lines.extend(f" 0 <= {name} <= 1" for name in names)
+        binaries = [name for name, binary in zip(names, self.integrality) if binary]
         if binaries:
-            lines.append("Binaries")
-            lines.append(" " + " ".join(binaries))
+            lines += ["Binaries", " " + " ".join(binaries)]
         lines.append("End")
         return "\n".join(lines) + "\n"
 
 
 @dataclass
 class IlpModel:
-    """Built model plus the index maps needed to read a solution back."""
+    """Built model plus the column layout needed to read a solution back.
+
+    Interaction i's columns of flow index fn (0 utility, then one per
+    criterion) start at ``x_start[i] + fn * width``, one column per
+    (decision point, joint action) in ``decision_points()`` order, so width
+    is points times joint actions."""
 
     instance: MccSspInstance
     layers: LayeredSpace
     criteria: tuple
-    x_index: dict  # (interaction, flow, k, state, action) -> column
-    z_index: dict  # (interaction, k, state, action) -> column
+    x_start: dict
+    x_count: int
+    z_count: int
     matrix: MatrixForm
     delta_tilde: dict
-
-    @property
-    def x_count(self) -> int:
-        return len(self.x_index)
-
-    @property
-    def z_count(self) -> int:
-        return len(self.z_index)
 
 
 @dataclass
@@ -150,10 +166,7 @@ class SolveResult:
     decided_by: str | None = None
 
 
-def build_ilp(
-    instance: MccSspInstance,
-    layers: LayeredSpace | None = None,
-) -> IlpModel:
+def build_ilp(instance: MccSspInstance, layers: LayeredSpace | None = None) -> IlpModel:
     """Assemble the exact formulation over reachable layers.
 
     Raises BudgetExhausted when the initial states' summed intrinsic risk
@@ -163,6 +176,8 @@ def build_ilp(
         layers = reachable_layers(instance)
     criteria = instance.criteria
     flow_ids = (None,) + criteria  # None is the utility flow
+    n_flows = len(flow_ids)
+    horizon = layers.horizon
 
     # interaction -> criterion -> state -> aggregate risk
     rt = {layers_i.id: {j: layers_i.state_risks(j) for j in criteria} for layers_i in layers}
@@ -174,75 +189,65 @@ def build_ilp(
     if any(slack < 0 for slack in delta_tilde.values()):
         raise BudgetExhausted(delta_tilde)
 
-    col_names, lower, upper, integrality, objective = [], [], [], [], []
-    x_index, z_index = {}, {}
-
-    def add_col(name, binary, obj=0.0):
-        col_names.append(name)
-        lower.append(0.0)
-        upper.append(1.0)
-        integrality.append(1 if binary else 0)
-        objective.append(obj)
-        return len(col_names) - 1
-
+    # columns: every interaction's x blocks, one per flow index, then every
+    # interaction's z block, then the shared-agent selectors y.  A block has
+    # one column per (decision point, joint action); decision point n of
+    # layer k is number first[i][k] + its place in the layer.  Nonzeros are
+    # (row, col, value) triplets, rows come with their bounds.
     ids = sorted(layers.per_interaction)
-    for i in ids:
-        layers_i = layers.per_interaction[i]
-        for fn, j in enumerate(flow_ids):
-            for k in range(layers.horizon):
-                for sn, s in enumerate(layers_i.layers[k]):
-                    for an, a in enumerate(layers_i.joint_actions):
-                        obj = layers_i.utilities[(s, a)] if j is None else 0.0
-                        col = add_col(f"x_i{i}_f{fn}_k{k}_s{sn}_a{an}", False, obj)
-                        x_index[(i, j, k, s, a)] = col
-    for i in ids:
-        layers_i = layers.per_interaction[i]
-        for k in range(layers.horizon):
-            for sn, s in enumerate(layers_i.layers[k]):
-                for an, a in enumerate(layers_i.joint_actions):
-                    col = add_col(f"z_i{i}_k{k}_s{sn}_a{an}", True)
-                    z_index[(i, k, s, a)] = col
+    first, width, x_start, z_start = {}, {}, {}, {}
+    objective, col_blocks, row_blocks = [], [], []
+    row_ix, col_ix, vals, lower, upper = [], [], [], [], []
 
-    rows = []
-
-    def tilde(i, j, s, p):
-        return p if j is None else p * (1.0 - rt[i][j][s])
+    def put(row, col, value):
+        row_ix.append(row)
+        col_ix.append(col)
+        vals.append(value)
 
     # flow conservation: unit source at the initial state, then inflow
     # balance per state and flow index
     for i in ids:
         layers_i = layers.per_interaction[i]
-        s0 = layers_i.layers[0][0]
+        n_a = len(layers_i.joint_actions)
+        first[i] = list(accumulate((len(layer) for layer in layers_i.layers[:horizon]), initial=0))
+        n_points = first[i][-1]
+        width[i] = n_points * n_a
+        x_start[i] = len(objective)
+        objective += [
+            layers_i.utilities[(s, a)] for _, s in layers_i.decision_points()
+            for a in layers_i.joint_actions
+        ] + [0.0] * (n_flows - 1) * width[i]
+        place = [{s: first[i][k] + sn for sn, s in enumerate(layer)}
+                 for k, layer in enumerate(layers_i.layers[:horizon])]
         for fn, j in enumerate(flow_ids):
-            coeffs = [
-                (x_index[(i, j, 0, s0, a)], 1.0) for a in layers_i.joint_actions
-            ]
-            rows.append((f"src_i{i}_f{fn}", 1.0, 1.0, coeffs))
-            for k in range(1, layers.horizon):
-                inbound = {s: [] for s in layers_i.layers[k]}
-                for sp in layers_i.layers[k - 1]:
-                    for a in layers_i.joint_actions:
+            r0, xb = len(lower), x_start[i] + fn * width[i]
+            col_blocks.append(((f"x_i{i}_f{fn}",), width[i]))
+            row_blocks += [((f"src_i{i}_f{fn}",), 1), ((f"flow_i{i}_f{fn}",), n_points - 1)]
+            lower += [1.0] + [0.0] * (n_points - 1)
+            upper += [1.0] + [0.0] * (n_points - 1)
+            row_ix += [r0 + c // n_a for c in range(width[i])]
+            col_ix += range(xb, xb + width[i])
+            vals += [1.0] * width[i]
+            for k in range(1, horizon):
+                for n, sp in enumerate(layers_i.layers[k - 1], start=first[i][k - 1]):
+                    for an, a in enumerate(layers_i.joint_actions):
                         for succ, p in layers_i.edges[(sp, a)]:
-                            inbound[succ].append((sp, a, tilde(i, j, sp, p)))
-                for sn, s in enumerate(layers_i.layers[k]):
-                    coeffs = [
-                        (x_index[(i, j, k, s, a)], 1.0)
-                        for a in layers_i.joint_actions
-                    ]
-                    coeffs += [
-                        (x_index[(i, j, k - 1, sp, a)], -tp)
-                        for sp, a, tp in inbound[s]
-                        if tp != 0.0
-                    ]
-                    rows.append((f"flow_i{i}_f{fn}_k{k}_s{sn}", 0.0, 0.0, coeffs))
+                            tp = p if j is None else p * (1.0 - rt[i][j][sp])
+                            if tp != 0.0:
+                                put(r0 + place[k][succ], xb + n * n_a + an, -tp)
+    x_count = len(objective)
 
     # one linear risk row per criterion
-    for j in criteria:
-        coeffs = []
+    for fn, j in enumerate(criteria, start=1):
+        r = len(lower)
+        row_blocks.append(((f"risk_{j}",), 1))
+        lower.append(-math.inf)
+        upper.append(delta_tilde[j])
         for i in ids:
             layers_i = layers.per_interaction[i]
             rt_ij = rt[i][j]
-            for k in range(layers.horizon):
+            col = x_start[i] + fn * width[i]
+            for k in range(horizon):
                 for s in layers_i.layers[k]:
                     survival = 1.0 - rt_ij[s]
                     for a in layers_i.joint_actions:
@@ -250,30 +255,32 @@ def build_ilp(
                             p * rt_ij[succ] for succ, p in layers_i.edges[(s, a)]
                         )
                         if coef != 0.0:
-                            coeffs.append((x_index[(i, j, k, s, a)], coef))
-        rows.append((f"risk_{j}", -math.inf, delta_tilde[j], coeffs))
+                            put(r, col, coef)
+                        col += 1
 
-    # at most one action per node, and bind every flow to the selector
+    # at most one action per decision point, each such row followed by the
+    # x <= z rows of its every action and flow index
     for i in ids:
-        layers_i = layers.per_interaction[i]
-        for k in range(layers.horizon):
-            for sn, s in enumerate(layers_i.layers[k]):
-                coeffs = [
-                    (z_index[(i, k, s, a)], 1.0) for a in layers_i.joint_actions
-                ]
-                rows.append((f"one_i{i}_k{k}_s{sn}", -math.inf, 1.0, coeffs))
-                for an, a in enumerate(layers_i.joint_actions):
-                    zc = z_index[(i, k, s, a)]
-                    for fn, j in enumerate(flow_ids):
-                        xc = x_index[(i, j, k, s, a)]
-                        rows.append(
-                            (
-                                f"bind_i{i}_f{fn}_k{k}_s{sn}_a{an}",
-                                -math.inf,
-                                0.0,
-                                [(xc, 1.0), (zc, -1.0)],
-                            )
-                        )
+        n_a = len(layers.per_interaction[i].joint_actions)
+        n_points, period = first[i][-1], 1 + n_a * n_flows
+        r0, zb = len(lower), len(objective)
+        z_start[i] = zb
+        objective += [0.0] * width[i]
+        col_blocks.append(((f"z_i{i}",), width[i]))
+        row_blocks.append(((f"one_i{i}",) + (f"bind_i{i}",) * (period - 1), n_points * period))
+        lower += [-math.inf] * (n_points * period)
+        upper += ([1.0] + [0.0] * (period - 1)) * n_points
+        one = [r0 + c // n_a * period for c in range(width[i])]
+        row_ix += one
+        col_ix += range(zb, zb + width[i])
+        vals += [1.0] * width[i]
+        for fn in range(n_flows):
+            bind = [r + 1 + c % n_a * n_flows + fn for c, r in enumerate(one)]
+            xb = x_start[i] + fn * width[i]
+            row_ix += bind + bind
+            col_ix += [*range(xb, xb + width[i]), *range(zb, zb + width[i])]
+            vals += [1.0] * width[i] + [-1.0] * width[i]
+    z_count = len(objective) - x_count
 
     # action consistency for shared agents: where two or more interactions
     # have a reachable layer-k state with the same component for an agent,
@@ -282,46 +289,42 @@ def build_ilp(
     # (and within) the sharing interactions
     slot_states = {}
     for i in ids:
-        layers_i = layers.per_interaction[i]
-        members = layers_i.view.members
-        for k in range(layers.horizon):
-            for s in layers_i.layers[k]:
+        members = layers.per_interaction[i].view.members
+        for k in range(horizon):
+            for n, s in enumerate(layers.per_interaction[i].layers[k], start=first[i][k]):
                 for pos, v in enumerate(members):
-                    slot_states.setdefault((v, s[pos], k), []).append((i, pos, s))
-    row_n = 0
-    for slot_n, slot in enumerate(sorted(slot_states, key=skey)):
+                    slot_states.setdefault((v, s[pos], k), []).append((i, pos, n))
+    cons_start = len(lower)
+    for slot in sorted(slot_states, key=skey):
         entries = slot_states[slot]
         if len({i for i, _, _ in entries}) < 2:
             continue
-        v, _, k = slot
-        for an, av in enumerate(instance.agents[v].sorted_actions()):
-            y_col = add_col(f"y_v{skey(v)}_n{slot_n}_a{an}", True)
-            for i, pos, s in entries:
-                coeffs = [
-                    (z_index[(i, k, s, a)], 1.0)
-                    for a in layers.per_interaction[i].joint_actions
-                    if a[pos] == av
-                ] + [(y_col, -1.0)]
-                rows.append((f"cons_{row_n}", 0.0, 0.0, coeffs))
-                row_n += 1
+        for av in instance.agents[slot[0]].sorted_actions():
+            y_col = len(objective)
+            objective.append(0.0)
+            for i, pos, n in entries:
+                r = len(lower)
+                lower.append(0.0)
+                upper.append(0.0)
+                actions = layers.per_interaction[i].joint_actions
+                for an, a in enumerate(actions):
+                    if a[pos] == av:
+                        put(r, z_start[i] + n * len(actions) + an, 1.0)
+                put(r, y_col, -1.0)
+    n_cols = len(objective)
+    col_blocks.append((("y",), n_cols - x_count - z_count))
+    row_blocks.append((("cons",), len(lower) - cons_start))
 
     matrix = MatrixForm(
-        col_names=col_names,
-        lower=lower,
-        upper=upper,
-        integrality=integrality,
-        objective=objective,
-        rows=rows,
+        a=sparse.csr_matrix((vals, (row_ix, col_ix)), shape=(len(lower), n_cols)),
+        row_lower=np.array(lower),
+        row_upper=np.array(upper),
+        objective=np.array(objective, dtype=float),
+        integrality=np.array([0] * x_count + [1] * (n_cols - x_count)),
+        col_blocks=tuple(col_blocks),
+        row_blocks=tuple(row_blocks),
     )
-    return IlpModel(
-        instance=instance,
-        layers=layers,
-        criteria=criteria,
-        x_index=x_index,
-        z_index=z_index,
-        matrix=matrix,
-        delta_tilde=delta_tilde,
-    )
+    return IlpModel(instance, layers, criteria, x_start, x_count, z_count, matrix, delta_tilde)
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +345,11 @@ class ScipyHighsBackend:
         anything else is a failure."""
         if matrix.n_cols == 0:
             return "optimal", np.zeros(0), 0.0
-        data, rows_ix, cols_ix, lo, hi = [], [], [], [], []
-        for rn, (_, rlo, rhi, coeffs) in enumerate(matrix.rows):
-            lo.append(rlo)
-            hi.append(rhi)
-            for col, val in coeffs:
-                rows_ix.append(rn)
-                cols_ix.append(col)
-                data.append(val)
         constraints = []
-        if matrix.rows:
-            a_mat = sparse.csr_matrix(
-                (data, (rows_ix, cols_ix)), shape=(matrix.n_rows, matrix.n_cols)
-            )
-            constraints = [scipy.optimize.LinearConstraint(a_mat, lo, hi)]
+        if matrix.n_rows:
+            constraints = [
+                scipy.optimize.LinearConstraint(matrix.a, matrix.row_lower, matrix.row_upper)
+            ]
         options = {
             "mip_rel_gap": DEFAULT_MIP_REL_GAP if mip_rel_gap is None else mip_rel_gap,
             "presolve": True,
@@ -364,10 +358,10 @@ class ScipyHighsBackend:
             options["time_limit"] = float(time_limit)
         # milp minimizes, so the objective is negated both ways
         res = scipy.optimize.milp(
-            c=-np.asarray(matrix.objective, dtype=float),
+            c=-matrix.objective,
             constraints=constraints,
-            integrality=np.asarray(matrix.integrality),
-            bounds=scipy.optimize.Bounds(matrix.lower, matrix.upper),
+            integrality=matrix.integrality,
+            bounds=scipy.optimize.Bounds(0, 1),
             options=options,
         )
         if res.status == 0:
@@ -383,26 +377,30 @@ class ScipyHighsBackend:
 # solving and policy extraction
 
 
+def _flow_rows(model: IlpModel, x: np.ndarray, fn: int):
+    """(interaction, layers, k, state, values) per decision point, values
+    being flow index fn's entries for the joint actions in order."""
+    xs = x.tolist()
+    for i, col in model.x_start.items():
+        layers_i = model.layers.per_interaction[i]
+        points = layers_i.decision_points()
+        n_a = len(layers_i.joint_actions)
+        col += fn * len(points) * n_a
+        for k, s in points:
+            yield i, layers_i, k, s, xs[col:col + n_a]
+            col += n_a
+
+
 def extract_policy(model: IlpModel, x: np.ndarray) -> Policy:
     """Deterministic policy from the utility flow: the max-flow action per
     reachable (state, time); zero-flow states get the default action."""
-    assignments = {}
-    for i in sorted(model.layers.per_interaction):
-        layers_i = model.layers.per_interaction[i]
-        table = {}
-        default = layers_i.view.default_joint_action()
-        for k in range(model.layers.horizon):
-            for s in layers_i.layers[k]:
-                values = [
-                    (x[model.x_index[(i, None, k, s, a)]], a)
-                    for a in layers_i.joint_actions
-                ]
-                best_val = max(v for v, _ in values)
-                if best_val > 1e-9:
-                    table[(s, k)] = next(a for v, a in values if v == best_val)
-                else:
-                    table[(s, k)] = default
-        assignments[i] = table
+    assignments = {i: {} for i in model.x_start}
+    for i, layers_i, k, s, row in _flow_rows(model, x, 0):
+        best = max(row)
+        assignments[i][(s, k)] = (
+            layers_i.joint_actions[row.index(best)] if best > 1e-9
+            else layers_i.view.default_joint_action()
+        )
     return Policy(assignments)
 
 
@@ -486,11 +484,12 @@ def _solve_mip(model: IlpModel, time_limit, mip_rel_gap) -> SolveResult:
 
     policy = extract_policy(model, x)
     flows = {}
-    for j in (None,) + model.criteria:
+    for fn, j in enumerate((None,) + model.criteria):
         per = {}
-        for (i, jj, k, s, a), col in model.x_index.items():
-            if jj == j and abs(x[col]) > 1e-12:
-                per[(i, k, s, a)] = float(x[col])
+        for i, layers_i, k, s, row in _flow_rows(model, x, fn):
+            for a, v in zip(layers_i.joint_actions, row):
+                if abs(v) > 1e-12:
+                    per[(i, k, s, a)] = v
         flows[j] = per
     risks = {
         j: execution_risk(model.instance, model.layers, policy, j)

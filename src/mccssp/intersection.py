@@ -469,12 +469,14 @@ def build_intersection_instance(
         va, vb = meta[ua]["vehicle"], meta[ub]["vehicle"]
         if not (va.controllable or vb.controllable):
             continue
-        conflicting = any(
-            scenario.pair_risk(ca, cb) is not None
+        # every candidate pair's table is built here, not first inside a
+        # planning call's risk lookup
+        tables = [
+            scenario.pair_risk(ca, cb)
             for ca in meta[ua]["candidates"] or [meta[ua]["wait_variant"]]
             for cb in meta[ub]["candidates"] or [meta[ub]["wait_variant"]]
-        )
-        if not conflicting:
+        ]
+        if all(table is None for table in tables):
             continue
         risk_fn = _make_pair_risk(scenario, meta[ua], meta[ub])
         points.append(

@@ -10,6 +10,7 @@ the recursion at the solution.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -27,6 +28,8 @@ from .model import (
 )
 from .oracles import CapExceeded, brute_force_optimal
 from .risk import execution_risk, linear_risk_from_flows
+
+log = logging.getLogger(__name__)
 
 OBJECTIVE_TOL = 1e-6
 RISK_TOL = 1e-9
@@ -230,10 +233,10 @@ def run_oracle_equivalence(
     n_instances: int = 200,
     seed: int = 0,
     cap: int = 50_000,
-    verbose: bool = False,
 ) -> EquivalenceReport:
     """Solve seeded random instances against the oracle; resamples the rare
-    draw whose policy space exceeds the enumeration cap."""
+    draw whose policy space exceeds the enumeration cap.  Logs progress at
+    INFO every 50 instances."""
     rng = np.random.default_rng(seed)
     report = EquivalenceReport()
     start = time.perf_counter()
@@ -248,7 +251,10 @@ def run_oracle_equivalence(
             report.resampled += 1
             continue
         report.instances += 1
-        if verbose and report.instances % 50 == 0:
-            print(f"  {report.instances}/{n_instances} checked, failures: {len(report.failures)}")
+        if report.instances % 50 == 0:
+            log.info(
+                "  %d/%d checked, failures: %d",
+                report.instances, n_instances, len(report.failures),
+            )
     report.seconds = time.perf_counter() - start
     return report

@@ -1,5 +1,6 @@
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,3 +181,25 @@ def test_selftest_exit_code(capsys):
     assert main(["selftest", "--instances", "10", "--quiet", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "10 instances" in out and "decided by the DP certificate" in out
+
+
+def test_selftest_shows_progress_unless_quiet(monkeypatch, capsys):
+    import mccssp.selftest
+
+    monkeypatch.setattr(mccssp.selftest, "check_instance", lambda *args: None)
+    assert main(["selftest", "--instances", "50", "--seed", "3"]) == 0
+    assert "  50/50 checked, failures: 0\n" in capsys.readouterr().out
+    assert main(["selftest", "--instances", "50", "--seed", "3", "--quiet"]) == 0
+    assert "checked" not in capsys.readouterr().out
+
+
+def test_solve_oracle_objective_mismatch_is_solver_failure(instance_file, monkeypatch, capsys):
+    import mccssp.oracles
+
+    # the solver's optimum is 1.0; an oracle reporting 2.0 must fail the run
+    monkeypatch.setattr(
+        mccssp.oracles, "brute_force_optimal",
+        lambda *args, **kwargs: SimpleNamespace(status="optimal", objective=2.0),
+    )
+    assert main(["solve", instance_file, "--oracle"]) == 2
+    assert "ORACLE MISMATCH" in capsys.readouterr().out

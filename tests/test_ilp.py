@@ -4,6 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy import sparse
+from scipy.optimize._highspy._core import HighsStatus, _Highs
 
 from builders import make_chain_instance, make_risky_safe_instance
 from mccssp.grid import GridSpec, generate_grid_instance
@@ -143,6 +145,33 @@ BINDING = dict(width=50, height=50, risky_fraction=0.3, risky_risk_value=0.3,
                risk_budget=0.1, n_agents=1, horizon=3)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_chain_instance(risk=0.0),  # its risk row has no terms
+        lambda: make_risky_safe_instance(delta=0.1, horizon=2),
+        lambda: _shared_agent_instance(),  # consistency rows and y columns
+        lambda: generate_grid_instance(GridSpec(seed=54, **BINDING)),
+    ],
+    ids=["riskless-chain", "risky-safe-h2", "shared-agent", "binding-grid"],
+)
+def test_lp_export_reads_back_into_highs(make, tmp_path):
+    matrix = build_ilp(make()).matrix
+    path = tmp_path / "model.lp"
+    path.write_text(matrix.to_lp_text())
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) == HighsStatus.kOk
+    # one name per column and row: a clash would merge them
+    assert (highs.getNumCol(), highs.getNumRow(), highs.getNumNz()) == (
+        matrix.n_cols, matrix.n_rows, matrix.a.nnz
+    )
+    assert highs.run() == HighsStatus.kOk
+    status, _, objective = ScipyHighsBackend().solve(matrix)
+    assert status == "optimal"
+    assert highs.getInfo().objective_function_value == pytest.approx(objective, abs=1e-9)
+
+
 def test_certificate_leaves_binding_budget_to_the_mip():
     inst = generate_grid_instance(GridSpec(seed=54, **BINDING))
     result, layers = _certified(inst)
@@ -197,7 +226,9 @@ def test_matrix_adapter_counts_and_roundtrip(risky_safe):
 
 
 def test_empty_model_has_no_rows_or_columns():
-    matrix = MatrixForm([], [], [], [], [], [])
+    matrix = MatrixForm(
+        sparse.csr_matrix((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=int)
+    )
     assert matrix.n_cols == 0 and matrix.n_rows == 0
     status, x, objective = ScipyHighsBackend().solve(matrix)
     assert status == "optimal" and objective == 0.0
@@ -208,7 +239,7 @@ def test_lp_text_export(risky_safe):
     text = model.matrix.to_lp_text()
     assert text.startswith("Maximize")
     assert "Binaries" in text and "End" in text
-    assert "z_i0_k0_s0_a0" in text
+    assert "z_i0_0" in text
 
 
 def test_solved_risk_respects_budget_post_hoc():

@@ -245,3 +245,28 @@ def test_case_study_scenario_shape():
     assert set(scenario.lanes) == {"N0", "S0", "W1"}
     assert scenario.velocity("W1", "s0") == pytest.approx(8.0)
     assert scenario.velocity("N0", "s0") == pytest.approx(16.0)
+
+
+def test_build_samples_every_pair_table_planning_needs(monkeypatch):
+    # a fresh scenario, so no table is cached before the build; the HV is
+    # still ambiguous between two maneuvers
+    from mccssp import intersection
+    from mccssp.oracles import fcfs_plan
+
+    scenario = default_scenario(mc_samples=200)
+    av = VehicleState(id="v00000", kind="av", lane="E0", slot=0)
+    hv = VehicleState(id="v00001", kind="hv", lane="N0", slot=0, true_kind="straight")
+    inst, info = build_intersection_instance(
+        scenario, [av, hv], green_side="N", horizon=1, delta=0.05
+    )
+    assert len(info.vehicle_meta["v00001"]["candidates"]) == 2
+    calls = []
+    sample = intersection.step_probability_matrix
+    monkeypatch.setattr(
+        intersection, "step_probability_matrix",
+        lambda *args, **kwargs: calls.append(args) or sample(*args, **kwargs),
+    )
+    layers = reachable_layers(inst)
+    assert solve_instance(inst, layers).status == "optimal"
+    fcfs_plan(inst, info.arrival_order, 0.05, layers)
+    assert calls == []
