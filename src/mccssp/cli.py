@@ -32,16 +32,34 @@ def _csv_header(out, args_text: str, columns: list) -> None:
     out.write(",".join(columns) + "\n")
 
 
-def _parse_range(text: str) -> list:
-    """Accepts '1..4' or comma lists '1,2,4'."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+class InputError(ValueError):
+    """A bad command-line argument; reported as ``error: ...``, exit 1."""
 
 
-def _parse_floats(text: str) -> list:
-    return [float(v) for v in text.split(",")]
+def _parse_range(text: str, option: str) -> list:
+    """Accepts '1..4' or comma lists '1,2,4' of integers >= 1."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise InputError(f"{option}: expected '1..4' or '1,2,4', got {text!r}") from None
+    if not values or min(values) < 1:
+        raise InputError(f"{option}: need one or more integers >= 1, got {text!r}")
+    return values
+
+
+def _parse_probabilities(text: str, option: str) -> list:
+    """Accepts comma lists of numbers in [0, 1]."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InputError(f"{option}: expected numbers like '0.01,0.1', got {text!r}") from None
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise InputError(f"{option}: every value must be in [0, 1], got {text!r}")
+    return values
 
 
 def cmd_solve(args) -> int:
@@ -111,18 +129,25 @@ def cmd_solve(args) -> int:
 def cmd_grid_bench(args) -> int:
     from .grid import GridSpec, benchmark_rows
 
+    agent_counts = _parse_range(args.agents, "--agents")
+    horizons = _parse_range(args.horizon, "--horizon")
     spec = GridSpec(
         width=args.width,
         height=args.height,
-        horizon=max(_parse_range(args.horizon)),
+        n_agents=max(agent_counts),
+        horizon=max(horizons),
         risk_budget=args.delta,
         risky_risk_value=args.risky_risk,
         seed=args.seed,
     )
+    try:
+        spec.validate()
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     rows = benchmark_rows(
         spec,
-        agent_counts=_parse_range(args.agents),
-        horizons=_parse_range(args.horizon),
+        agent_counts=agent_counts,
+        horizons=horizons,
         time_limit=args.time_limit,
     )
     columns = ["n_agents", "horizon", "build_s", "solve_s", "objective", "risk", "status"]
@@ -132,7 +157,13 @@ def cmd_grid_bench(args) -> int:
         out.write(",".join(str(row[c]) for c in columns) + "\n")
     if args.out:
         out.close()
-    return 0
+    failed = [row for row in rows if row["status"] == "solver_failure"]
+    for row in failed:
+        print(
+            f"solver failure: {row['n_agents']} agents, horizon {row['horizon']}",
+            file=sys.stderr,
+        )
+    return 2 if failed else 0
 
 
 def _sim_cell(job):
@@ -161,8 +192,17 @@ def _sim_cell(job):
 
 
 def cmd_intersect_sim(args) -> int:
-    from .intersection import ScenarioConfig
+    from .intersection import PLANNERS, ScenarioConfig
 
+    planners = [p.strip() for p in args.planners.split(",")]
+    unknown = [p for p in planners if p not in PLANNERS]
+    if unknown:
+        raise InputError(f"--planners: unknown {unknown}; expected {','.join(PLANNERS)}")
+    deltas = _parse_probabilities(args.deltas, "--deltas")
+    horizons = _parse_range(args.horizons, "--horizons")
+    hv_fractions = _parse_probabilities(args.hv_fractions, "--hv-fractions")
+    if not args.duration > 0:
+        raise InputError(f"--duration must be positive, got {args.duration}")
     overrides = {}
     if args.scenario:
         try:
@@ -178,13 +218,13 @@ def cmd_intersect_sim(args) -> int:
         return 1
 
     jobs = []
-    for planner in args.planners.split(","):
-        for delta in _parse_floats(args.deltas):
-            for horizon in _parse_range(args.horizons):
-                for hv in _parse_floats(args.hv_fractions):
+    for planner in planners:
+        for delta in deltas:
+            for horizon in horizons:
+                for hv in hv_fractions:
                     for rep in range(args.replications):
                         jobs.append(
-                            (base, planner.strip(), delta, horizon, hv,
+                            (base, planner, delta, horizon, hv,
                              args.seed + rep, args.duration)
                         )
     if args.jobs > 1:
@@ -378,7 +418,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ilp import BudgetExhausted, SolveResult, build_ilp, solve
+from .ilp import BudgetExhausted, SolverFailure, SolveResult, build_ilp, solve
 from .model import (
     AgentMdp,
     InteractionPoint,
@@ -90,7 +90,8 @@ class GridSpec:
     start_positions: list | None = field(default=None)
 
     def validate(self) -> None:
-        for name in ("success_prob", "risky_fraction", "low_utility_fraction", "risk_budget"):
+        for name in ("success_prob", "risky_fraction", "risky_risk_value",
+                     "low_utility_fraction", "risk_budget"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
@@ -201,7 +202,9 @@ def benchmark_rows(
 
     Starts are drawn once for the largest agent count so smaller sweeps
     nest inside larger ones.  A cell whose start states alone exceed the
-    budget gets status budget_exhausted and no solve.
+    budget gets status budget_exhausted and no solve; a cell the solver
+    fails on (SolverFailure) gets status solver_failure, and the sweep
+    goes on.
     """
     rng = np.random.default_rng(base.seed)
     max_agents = max(agent_counts)
@@ -225,7 +228,13 @@ def benchmark_rows(
             if model is None:
                 result = SolveResult(status="budget_exhausted")
             else:
-                result = solve(model, time_limit=time_limit)
+                t0 = time.perf_counter()
+                try:
+                    result = solve(model, time_limit=time_limit)
+                except SolverFailure:
+                    result = SolveResult(
+                        status="solver_failure", solve_seconds=time.perf_counter() - t0
+                    )
             rows.append(
                 {
                     "n_agents": n_agents,

@@ -18,6 +18,12 @@ left (the residual risk of fully committed pairs was bounded when last
 granted and is sampled during simulation, not constrained again).
 Together these make the all-wait plan feasible at any budget, which the
 receding-horizon loop relies on.
+
+Vehicle model: a vehicle waits, or enters a variant and runs its tube one
+planning interval per state until it is past the tube.  Each built
+instance is a snapshot: candidate variants and human intent weights are
+fixed at build time, and its risk lookups read only that build-time data,
+never the simulation's mutable vehicle state.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .pft import (
 
 SIDES = ("N", "E", "S", "W")
 KINDS = ("straight", "left")
+PLANNERS = ("mccssp", "fcfs")
 
 # entry travel direction per side (toward the center)
 _DIRS = {"N": (0.0, -1.0), "E": (-1.0, 0.0), "S": (0.0, 1.0), "W": (1.0, 0.0)}
@@ -280,7 +287,6 @@ class VehicleState:
     variant: tuple | None = None
     progression: int = 0
     true_kind: str | None = None
-    entered_s: float | None = None
 
     @property
     def controllable(self) -> bool:
@@ -288,18 +294,19 @@ class VehicleState:
 
 
 def _hv_candidate_weights(scenario: Scenario, vehicle: VehicleState) -> dict:
-    """Scripted intent schedule: 50/50 at entry, linearly approaching
-    certainty on the true maneuver by the commit fraction of the tube."""
+    """Scripted intent schedule as {variant: weight}: 50/50 at entry,
+    linearly approaching certainty on the true maneuver by the commit
+    fraction of the tube."""
     cfg = scenario.config
-    lane = scenario.lanes[vehicle.lane]
-    true_kind = vehicle.true_kind or lane.kind
-    other = "left" if true_kind == "straight" else "straight"
-    tube_len = len(scenario.tube(scenario.variant_key(vehicle.lane, vehicle.slot, true_kind, cfg.hv_speed)))
-    commit = max(cfg.hv_commit_fraction * tube_len, 1e-9)
+    true_kind = vehicle.true_kind or scenario.lanes[vehicle.lane].kind
+    true_var = scenario.variant_key(vehicle.lane, vehicle.slot, true_kind, cfg.hv_speed)
+    commit = max(cfg.hv_commit_fraction * len(scenario.tube(true_var)), 1e-9)
     q_true = 0.5 + 0.5 * min(vehicle.progression / commit, 1.0)
-    weights = {true_kind: q_true}
+    weights = {true_var: q_true}
     if q_true < 1.0:
-        weights[other] = 1.0 - q_true
+        other = "left" if true_kind == "straight" else "straight"
+        other_var = scenario.variant_key(vehicle.lane, vehicle.slot, other, cfg.hv_speed)
+        weights[other_var] = 1.0 - q_true
     return weights
 
 
@@ -324,7 +331,10 @@ def build_intersection_instance(
     Queued AVs choose among speed variants of their lane maneuver or wait;
     executing vehicles are frozen single-action obstacles; HVs hold a
     single action whose transition encodes the intent schedule (wait-only
-    on red).  Returns (instance, BuildInfo).
+    on red).  Every vehicle's candidate variants and every HV's intent
+    weights are fixed here and stored in its meta, so the instance reads
+    only build-time data: changing a ``VehicleState`` afterwards does not
+    change it.  Returns (instance, BuildInfo).
     """
     cfg = scenario.config
     horizon = cfg.horizon if horizon is None else horizon
@@ -344,87 +354,61 @@ def build_intersection_instance(
         lane = scenario.lanes[v.lane]
         transition = {}
         utility = {}
-        if v.kind == "av" and v.phase == "queued":
+        weights = None
+        if v.controllable:
             speed_names = sorted(cfg.speeds)
             actions = tuple(f"go_{sp}" for sp in speed_names) + ("wait",)
             initial = ("wait", 0)
-            candidates = {
+            go = {
                 f"go_{sp}": scenario.variant_key(v.lane, v.slot, lane.kind, sp)
                 for sp in speed_names
             }
+            first = {
+                a: _run_chain(transition, utility, actions, scenario, var, steps)
+                for a, var in go.items()
+            }
             for m in range(horizon + 1):
-                wait_state = ("wait", m)
-                for a in actions:
-                    if a == "wait":
-                        transition[(wait_state, a)] = {("wait", m + 1): 1.0}
-                        utility[(wait_state, a)] = 0.0
-                    else:
-                        var = candidates[a]
-                        tube_len = len(scenario.tube(var))
-                        nxt = ("run", var, steps) if steps < tube_len else ("done",)
-                        transition[(wait_state, a)] = {nxt: 1.0}
-                        utility[(wait_state, a)] = action_utility(
-                            lambdas,
-                            scenario.velocity(v.lane, var[3]),
-                            v.priority,
-                            v.wait_s + m * cfg.dt,
-                            lane_mean[v.lane],
-                            cfg.w_max,
-                        )
-            _close_running_states(transition, utility, actions, scenario, steps)
-            wait_variant = candidates[f"go_{speed_names[0]}"]
-            cand_variants = list(candidates.values())
+                transition[(("wait", m), "wait")] = {("wait", m + 1): 1.0}
+                utility[(("wait", m), "wait")] = 0.0
+                for a, var in go.items():
+                    transition[(("wait", m), a)] = {first[a]: 1.0}
+                    utility[(("wait", m), a)] = action_utility(
+                        lambdas,
+                        scenario.velocity(v.lane, var[3]),
+                        v.priority,
+                        v.wait_s + m * cfg.dt,
+                        lane_mean[v.lane],
+                        cfg.w_max,
+                    )
+            candidates = list(go.values())
         elif v.kind == "av":  # committed AV, obstacle
             actions = ("continue",)
-            initial = ("run", v.variant, v.progression)
-            _chain_running(transition, utility, actions, scenario, v.variant, v.progression, steps)
-            wait_variant = v.variant
-            cand_variants = [v.variant]
+            initial = _run_chain(transition, utility, actions, scenario, v.variant, v.progression)
+            candidates = [v.variant]
         else:  # hv
             actions = ("hv",)
-            on_green = green_side == lane.side
             weights = _hv_candidate_weights(scenario, v)
-            resolved = len(weights) == 1
-            if v.phase == "queued" and not on_green:
+            if v.phase == "queued" and green_side != lane.side:
                 initial = ("wait", 0)
                 for m in range(horizon + 1):
                     transition[(("wait", m), "hv")] = {("wait", m + 1): 1.0}
                     utility[(("wait", m), "hv")] = 0.0
-                cand_variants = [
-                    scenario.variant_key(v.lane, v.slot, kind, cfg.hv_speed)
-                    for kind in weights
-                ]
-                wait_variant = cand_variants[0]
-            elif resolved and v.phase == "running":
-                kind = next(iter(weights))
-                var = scenario.variant_key(v.lane, v.slot, kind, cfg.hv_speed)
-                initial = ("run", var, v.progression)
-                _chain_running(transition, utility, actions, scenario, var, v.progression, steps)
-                wait_variant = var
-                cand_variants = [var]
+            elif len(weights) == 1 and v.phase == "running":
+                (var,) = weights
+                initial = _run_chain(transition, utility, actions, scenario, var, v.progression)
             else:
                 # entering or still ambiguous: branch per the intent schedule
                 initial = ("hv", v.progression)
                 branch = {}
-                for kind, q in weights.items():
-                    var = scenario.variant_key(v.lane, v.slot, kind, cfg.hv_speed)
-                    nxt_p = v.progression + steps
-                    nxt = ("run", var, nxt_p) if nxt_p < len(scenario.tube(var)) else ("done",)
+                for var, q in weights.items():
+                    nxt = _run_chain(
+                        transition, utility, actions, scenario, var, v.progression + steps
+                    )
                     branch[nxt] = branch.get(nxt, 0.0) + q
                 transition[(initial, "hv")] = branch
                 utility[(initial, "hv")] = 0.0
-                cand_variants = []
-                for kind in weights:
-                    var = scenario.variant_key(v.lane, v.slot, kind, cfg.hv_speed)
-                    cand_variants.append(var)
-                    _chain_running(
-                        transition, utility, actions, scenario, var,
-                        v.progression + steps, steps,
-                    )
-                wait_variant = cand_variants[0]
-        transition[(("done",), actions[0])] = {("done",): 1.0}
-        utility[(("done",), actions[0])] = 0.0
-        for a in actions[1:]:
+            candidates = list(weights)
+        for a in actions:
             transition[(("done",), a)] = {("done",): 1.0}
             utility[(("done",), a)] = 0.0
 
@@ -440,13 +424,7 @@ def build_intersection_instance(
             initial_state=initial,
             wait_action="wait" if "wait" in actions else None,
         )
-        meta[v.id] = {
-            "vehicle": v,
-            "wait_variant": wait_variant,
-            "candidates": cand_variants,
-            "weights": _hv_candidate_weights(scenario, v) if v.kind == "hv" else None,
-            "green": green_side == lane.side,
-        }
+        meta[v.id] = {"vehicle": v, "candidates": candidates, "weights": weights}
 
     # interaction points: one singleton per vehicle (owns its utility), one
     # pair point per conflicting pair with a controllable member
@@ -473,8 +451,8 @@ def build_intersection_instance(
         # planning call's risk lookup
         tables = [
             scenario.pair_risk(ca, cb)
-            for ca in meta[ua]["candidates"] or [meta[ua]["wait_variant"]]
-            for cb in meta[ub]["candidates"] or [meta[ub]["wait_variant"]]
+            for ca in meta[ua]["candidates"]
+            for cb in meta[ub]["candidates"]
         ]
         if all(table is None for table in tables):
             continue
@@ -500,66 +478,50 @@ def build_intersection_instance(
     return instance, BuildInfo(meta, singleton_ids, pair_ids, [u.id for u in order])
 
 
-def _close_running_states(transition, utility, actions, scenario, steps):
-    """Complete the chain for every run state referenced by the table."""
-    pending = [
-        s for row in list(transition.values()) for s in row if s[0] == "run"
-    ]
-    seen = set()
-    while pending:
-        state = pending.pop()
-        if state in seen or state[0] != "run":
-            continue
-        seen.add(state)
-        _, var, p = state
-        tube_len = len(scenario.tube(var))
-        nxt_p = p + steps
-        nxt = ("run", var, nxt_p) if nxt_p < tube_len else ("done",)
-        for a in actions:
-            transition[(state, a)] = {nxt: 1.0}
-            utility[(state, a)] = 0.0
-        pending.append(nxt)
-
-
-def _chain_running(transition, utility, actions, scenario, variant, progression, steps):
+def _run_chain(transition, utility, actions, scenario, variant, progression):
+    """Write the deterministic run of ``variant`` from ``progression`` on,
+    one planning interval per state and the same successor under every
+    action, and return its first state: ("done",) past the tube."""
+    steps = scenario.steps_per_plan
     tube_len = len(scenario.tube(variant))
     p = progression
     while p < tube_len:
-        nxt_p = p + steps
-        nxt = ("run", variant, nxt_p) if nxt_p < tube_len else ("done",)
+        nxt = ("run", variant, p + steps) if p + steps < tube_len else ("done",)
         for a in actions:
             transition[(("run", variant, p), a)] = {nxt: 1.0}
             utility[(("run", variant, p), a)] = 0.0
-        p = nxt_p
+        p += steps
+    return ("run", variant, progression) if progression < tube_len else ("done",)
+
+
+def _table_axis(scenario: Scenario, variant: tuple, progression: int) -> int | None:
+    """Pair-table axis of a vehicle running ``variant`` at ``progression``,
+    or None once it is past the tube.  The window spans the just-traversed
+    interval plus the remainder, so a grant's very first motion is charged
+    the moment it is committed."""
+    axis = max(progression - scenario.steps_per_plan, 0) + 1
+    return axis if axis <= len(scenario.tube(variant)) else None
 
 
 def _state_profiles(scenario: Scenario, meta_v: dict, state) -> list:
     """(variant, axis, weight) mixture describing a vehicle state's motion
-    over its remaining action window.
+    over its remaining action window; an unresolved HV mixes its intent
+    weights, fixed at build time.
 
     Waiting vehicles are parked at their stop anchor, which the layout
     keeps out of every conflict zone, so they carry no risk; this is what
     makes the all-wait plan feasible at any budget."""
-    if state == ("done",) or state[0] == "wait":
-        return []
-    steps = scenario.steps_per_plan
     if state[0] == "run":
-        _, var, p = state
-        start = max(p - steps, 0)
-        if start + 1 > len(scenario.tube(var)):
-            return []
-        # window spans the just-traversed interval plus the remainder, so a
-        # grant's very first motion is charged the moment it is committed
-        return [(var, start + 1, 1.0)]
-    # unresolved hv
-    _, p = state
-    cfg = scenario.config
-    vehicle = meta_v["vehicle"]
+        mixture, p = {state[1]: 1.0}, state[2]
+    elif state[0] == "hv":
+        mixture, p = meta_v["weights"], state[1]
+    else:  # waiting or done
+        return []
     out = []
-    for kind, q in _hv_candidate_weights(scenario, vehicle).items():
-        var = scenario.variant_key(vehicle.lane, vehicle.slot, kind, cfg.hv_speed)
-        axis = min(max(p - steps, 0) + 1, len(scenario.tube(var)))
-        out.append((var, axis, q))
+    for var, q in mixture.items():
+        axis = _table_axis(scenario, var, p)
+        if axis is not None:
+            out.append((var, axis, q))
     return out
 
 
@@ -595,8 +557,6 @@ class SimMetrics:
     planning_steps: int = 0
     collision_rate: float = 0.0
     mean_plan_s: float = 0.0
-    mean_build_s: float = 0.0
-    mean_solve_s: float = 0.0
     halts: int = 0
     entries: dict = field(default_factory=dict)  # vehicle id -> step index
 
@@ -634,8 +594,8 @@ def _hv_gap_clear(scenario, vehicle, active) -> bool:
     for other in active:
         if other.id == vehicle.id or other.phase != "running" or other.variant is None:
             continue
-        axis = max(other.progression - scenario.steps_per_plan, 0) + 1
-        if axis > len(scenario.tube(other.variant)):
+        axis = _table_axis(scenario, other.variant, other.progression)
+        if axis is None:
             continue
         if scenario.pair_lookup(var, 1, other.variant, axis) > cfg.hv_yield_threshold:
             return False
@@ -673,7 +633,12 @@ def simulate(
     delta: float | None = None,
 ) -> SimMetrics:
     """Receding-horizon run: spawn, plan, commit the first interval, advance
-    tubes, sample collisions, and remove departed vehicles."""
+    tubes, sample collisions, and remove departed vehicles.  ``planner`` is
+    one of PLANNERS; ``duration_s`` must be positive."""
+    if planner not in PLANNERS:
+        raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
+    if not duration_s > 0:
+        raise ValueError(f"duration_s must be positive, got {duration_s!r}")
     cfg = scenario.config
     horizon = cfg.horizon if horizon is None else horizon
     delta = cfg.delta if delta is None else delta
@@ -687,7 +652,7 @@ def simulate(
     counters = {"n": 0}
     spawned = {lane: 0 for lane in scenario.lanes}
     waits_done: list = []
-    plan_s, build_s, solve_s = [], [], []
+    plan_s = []
     halted_by: str | None = None
 
     for step in range(steps):
@@ -737,13 +702,9 @@ def simulate(
                             f"planner returned {result.status}; all-wait should be feasible"
                         )
                     policy = result.policy
-                    build_s.append(result.build_seconds)
-                    solve_s.append(result.solve_seconds)
-                elif planner == "fcfs":
+                else:
                     layers = reachable_layers(instance)
                     policy = fcfs_plan(instance, info.arrival_order, delta, layers)
-                else:
-                    raise ValueError(f"unknown planner {planner!r}")
                 plan_s.append(time.perf_counter() - t0)
                 metrics.planning_steps += 1
                 # read each vehicle's step-0 action off its singleton point
@@ -752,37 +713,28 @@ def simulate(
                     action = policy.action(point_id, (agent.initial_state,), 0)[0]
                     committed[vid] = action
 
-        # execute one interval
+        # execute one interval: a queued vehicle enters a variant (an AV
+        # granted go_*, an HV on green with a clear gap) or waits
         for v in active:
-            action = committed.get(v.id)
-            if v.kind == "av" and v.phase == "queued":
-                if action is not None and action.startswith("go_"):
+            if v.phase == "queued":
+                action = committed.get(v.id, "wait")
+                entry = None
+                if v.kind == "av" and action.startswith("go_"):
                     speed = action.split("_", 1)[1]
-                    v.variant = scenario.variant_key(
-                        v.lane, v.slot, scenario.lanes[v.lane].kind, speed
-                    )
-                    v.phase = "running"
-                    v.progression = 0
-                    v.entered_s = t_s
-                    metrics.entries[v.id] = (step, v.lane)
-                else:
-                    v.wait_s = min(v.wait_s + cfg.dt, cfg.w_max)
-            elif v.kind == "hv" and v.phase == "queued":
-                entering = (
-                    green == scenario.lanes[v.lane].side
+                    kind = scenario.lanes[v.lane].kind
+                    entry = scenario.variant_key(v.lane, v.slot, kind, speed)
+                elif (
+                    v.kind == "hv"
+                    and green == scenario.lanes[v.lane].side
                     and halted_by is None
                     and _hv_gap_clear(scenario, v, active)
-                )
-                if entering:
-                    v.variant = scenario.variant_key(
-                        v.lane, v.slot, v.true_kind, cfg.hv_speed
-                    )
-                    v.phase = "running"
-                    v.progression = 0
-                    v.entered_s = t_s
-                    metrics.entries[v.id] = (step, v.lane)
-                else:
+                ):
+                    entry = scenario.variant_key(v.lane, v.slot, v.true_kind, cfg.hv_speed)
+                if entry is None:
                     v.wait_s = min(v.wait_s + cfg.dt, cfg.w_max)
+                else:
+                    v.variant, v.phase, v.progression = entry, "running", 0
+                    metrics.entries[v.id] = (step, v.lane)
             if v.phase == "running":
                 if halted_by is None or v.id == halted_by:
                     v.progression += scenario.steps_per_plan
@@ -824,8 +776,6 @@ def simulate(
         metrics.collisions / metrics.planning_steps if metrics.planning_steps else 0.0
     )
     metrics.mean_plan_s = float(np.mean(plan_s)) if plan_s else 0.0
-    metrics.mean_build_s = float(np.mean(build_s)) if build_s else 0.0
-    metrics.mean_solve_s = float(np.mean(solve_s)) if solve_s else 0.0
     return metrics
 
 

@@ -203,3 +203,67 @@ def test_solve_oracle_objective_mismatch_is_solver_failure(instance_file, monkey
     )
     assert main(["solve", instance_file, "--oracle"]) == 2
     assert "ORACLE MISMATCH" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--planners", "bogus"],
+        ["--planners", "mccssp,fcfs,bogus"],
+        ["--deltas", "1.5"],
+        ["--deltas", "0.1,abc"],
+        ["--horizons", "0"],
+        ["--horizons", "2..1"],
+        ["--hv-fractions", "-0.1"],
+        ["--duration", "0"],
+    ],
+)
+def test_intersect_sim_bad_arguments_are_input_errors(argv, monkeypatch, capsys):
+    import mccssp.cli
+
+    # checked before any job runs, so no scenario or table is built
+    monkeypatch.setattr(mccssp.cli, "_sim_cell", lambda job: pytest.fail("a job ran"))
+    assert main(["intersect-sim", *argv, "--replications", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--agents", "4..1"],
+        ["--agents", "0"],
+        ["--horizon", "1,x"],
+        ["--delta", "1.5"],
+        ["--risky-risk", "-0.2"],
+    ],
+)
+def test_grid_bench_bad_arguments_are_input_errors(argv, monkeypatch, capsys):
+    import mccssp.grid
+
+    monkeypatch.setattr(mccssp.grid, "benchmark_rows", lambda *a, **k: pytest.fail("a sweep ran"))
+    assert main(["grid-bench", "--width", "64", "--height", "64", *argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_grid_bench_solver_failure_writes_every_row_then_exits_2(tmp_path, monkeypatch, capsys):
+    import mccssp.grid
+    from mccssp.ilp import SolverFailure
+
+    solve = mccssp.grid.solve
+
+    def failing_at_h2(model, **kwargs):
+        if model.instance.horizon == 2:
+            raise SolverFailure("stub")
+        return solve(model, **kwargs)
+
+    monkeypatch.setattr(mccssp.grid, "solve", failing_at_h2)
+    out_file = str(tmp_path / "bench.csv")
+    code = main([
+        "grid-bench", "--agents", "1..2", "--horizon", "1..3",
+        "--width", "64", "--height", "64", "--seed", "3", "--out", out_file,
+    ])
+    assert code == 2
+    lines = open(out_file).read().strip().splitlines()
+    statuses = [dict(zip(lines[1].split(","), line.split(",")))["status"] for line in lines[2:]]
+    assert statuses == ["optimal", "solver_failure", "optimal"] * 2
+    assert "solver failure" in capsys.readouterr().err

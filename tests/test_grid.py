@@ -1,5 +1,9 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mccssp.grid import (
     GridCells,
@@ -129,3 +133,23 @@ def test_width_height_capacity_validation():
         GridSpec(width=1, height=1, n_agents=2).validate()
     with pytest.raises(ValueError):
         GridSpec(success_prob=1.2).validate()
+    with pytest.raises(ValueError, match="risky_risk_value"):
+        GridSpec(risky_risk_value=1.5).validate()
+
+
+def test_benchmark_rows_records_solver_failure_and_goes_on(monkeypatch):
+    # HiGHS stops without an incumbent, and at h=3 the default all-east
+    # policy exceeds the 0.1 budget, so solve raises SolverFailure there
+    monkeypatch.setattr(
+        scipy.optimize, "milp",
+        lambda *args, **kwargs: SimpleNamespace(
+            status=1, x=None, fun=None, message="time limit reached"
+        ),
+    )
+    spec = GridSpec(width=50, height=50, seed=54, risky_fraction=0.3,
+                    risky_risk_value=0.3, risk_budget=0.1)
+    rows = benchmark_rows(spec, agent_counts=[1], horizons=[3, 1])
+    assert [row["status"] for row in rows] == ["solver_failure", "optimal"]
+    failed = rows[0]
+    assert math.isnan(failed["objective"]) and math.isnan(failed["risk"])
+    assert failed["solve_s"] >= 0.0

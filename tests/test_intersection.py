@@ -270,3 +270,39 @@ def test_build_samples_every_pair_table_planning_needs(monkeypatch):
     assert solve_instance(inst, layers).status == "optimal"
     fcfs_plan(inst, info.arrival_order, 0.05, layers)
     assert calls == []
+
+
+def test_built_instance_reads_only_build_time_data(small_scenario, monkeypatch):
+    # an entering HV is ambiguous between straight and left; moving it on
+    # after the build must not change the built instance's pair risk
+    from mccssp import intersection
+
+    weight_calls = []
+    weights = intersection._hv_candidate_weights
+    monkeypatch.setattr(
+        intersection, "_hv_candidate_weights",
+        lambda *args: weight_calls.append(args) or weights(*args),
+    )
+    av = VehicleState(id="v00000", kind="av", lane="E0", slot=0)
+    hv = VehicleState(id="v00001", kind="hv", lane="N0", slot=0, true_kind="straight")
+    inst, info = build_intersection_instance(
+        small_scenario, [av, hv], green_side="N", horizon=1, delta=0.05
+    )
+    point = inst.interaction(info.pair_ids[("v00000", "v00001")])
+    e0 = small_scenario.variant_key("E0", 0, "straight", "s0")
+    joint = (("run", e0, small_scenario.steps_per_plan), ("hv", 0))
+    before = point.state_risk("collision", joint)
+    assert before > 0.1
+    hv.progression, hv.slot = 12, 1
+    assert point.state_risk("collision", joint) == before
+    assert solve_instance(inst).status == "optimal"
+    assert len(weight_calls) == 1  # once per HV per build, never per lookup
+
+
+def test_simulate_rejects_unknown_planner_and_empty_duration(small_scenario):
+    # no AV arrives in this run, so no step would ever reach the planner
+    scenario = default_scenario(mc_samples=600, hv_fraction=1.0, enabled_lanes=("N0",))
+    with pytest.raises(ValueError, match="unknown planner 'bogus'"):
+        simulate(scenario, "bogus", duration_s=6, seed=1)
+    with pytest.raises(ValueError, match="duration_s must be positive"):
+        simulate(small_scenario, "fcfs", duration_s=0)
