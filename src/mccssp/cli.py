@@ -212,10 +212,15 @@ def cmd_intersect_sim(args) -> int:
             print(f"error: cannot read scenario: {exc}", file=sys.stderr)
             return 1
     try:
-        base = asdict(ScenarioConfig(**overrides))
+        config = ScenarioConfig(**overrides)
     except TypeError as exc:
         print(f"error: bad scenario field: {exc}", file=sys.stderr)
         return 1
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise InputError(f"scenario: {exc}") from None
+    base = asdict(config)
 
     jobs = []
     for planner in planners:
@@ -333,6 +338,7 @@ def cmd_selftest(args) -> int:
         f"({report.resampled} resampled) in {report.seconds:.1f}s"
     )
     print(f"{report.dp_decided} decided by the DP certificate without HiGHS")
+    print(f"{report.paths_decided} decided by the path formulation")
     print(
         f"max objective gap {report.max_objective_gap:.2e}, "
         f"max budget excess {report.max_budget_excess:.2e}, "
@@ -350,7 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve an instance file")
+    p = sub.add_parser(
+        "solve",
+        help="solve an instance file",
+        description="Solve an instance file. Prints the status and decided_by: dp (the"
+        " backward-DP certificate), paths (the path formulation), mip (the occupancy"
+        " formulation) or fallback (the default-action plan after a time-out).",
+    )
     p.add_argument("instance")
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--oracle", action="store_true", help="cross-check small instances")

@@ -1,6 +1,8 @@
-"""Exact mixed-integer formulation of the chance-constrained multi-agent
-problem over reachable layers, its sparse matrix form, and the solve path:
-a backward-DP certificate where no agent is shared, then HiGHS.
+"""Exact mixed-integer formulations of the chance-constrained multi-agent
+problem over reachable layers, their sparse matrix form, and the solve
+path: a backward-DP certificate where no agent is shared, HiGHS on the
+path formulation where every agent with a choice is deterministic and
+shared (or alone), and HiGHS on the occupancy formulation otherwise.
 
 Variables: one continuous flow x per (interaction, flow index, time, state,
 action) where flow index 0 carries utility and each criterion has its own
@@ -11,7 +13,13 @@ risk, at-most-one-action rows, x <= z binding for every flow, and action
 consistency rows chaining matching states of interactions that share an
 agent.
 
-The model is assembled once, as one CSR matrix with row bounds; every
+The path formulation (``build_path_model``) has one binary per (agent,
+open-loop path), one continuous w per combination of member paths at an
+interaction with two or more decision agents, marginal rows tying each
+member's paths to its binaries, and one risk row per criterion whose
+coefficients are the execution risks of the path combinations.
+
+Each model is assembled once, as one CSR matrix with row bounds; every
 column is bounded to [0, 1], and row and column names exist only in LP
 export.
 """
@@ -20,14 +28,15 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 import scipy.optimize
 from scipy import sparse
 
-from .model import LayeredSpace, MccSspInstance, reachable_layers, skey
+from .model import AgentMdp, LayeredSpace, MccSspInstance, reachable_layers, skey
 from .oracles import backward_dp
 from .risk import Policy, evaluate_table, execution_risk, expected_utility, policy_flows
 
@@ -153,7 +162,8 @@ class SolveResult:
     """Outcome of a solve: status is one of optimal, infeasible,
     budget_exhausted, or time_limit (best known solution returned).
     ``decided_by`` names what settled it: "dp" (the backward-DP
-    certificate), "mip" (HiGHS) or "fallback" (the default-action policy
+    certificate), "paths" (HiGHS on the path formulation), "mip" (HiGHS
+    on the occupancy formulation) or "fallback" (the default-action policy
     after a time-out without incumbent); None when no solve ran."""
 
     status: str
@@ -164,6 +174,54 @@ class SolveResult:
     solve_seconds: float = 0.0
     build_seconds: float = 0.0
     decided_by: str | None = None
+
+
+def _reduced_budgets(instance: MccSspInstance, layers: LayeredSpace) -> dict:
+    """Each risk budget minus the initial states' summed intrinsic risk;
+    raises BudgetExhausted when one is negative."""
+    delta_tilde = {
+        j: instance.risk_budgets[j]
+        - sum(layers_i.state_risks(j)[layers_i.layers[0][0]] for layers_i in layers)
+        for j in instance.criteria
+    }
+    if any(slack < 0 for slack in delta_tilde.values()):
+        raise BudgetExhausted(delta_tilde)
+    return delta_tilde
+
+
+def _occupancy_layout(layers: LayeredSpace) -> tuple:
+    """Column layout of ``build_ilp``'s model, as (first, shared).
+
+    ``first[i][k]`` numbers interaction i's first decision point of layer
+    k, so each of its x and z blocks has ``first[i][-1]`` times its joint
+    actions columns.  ``shared`` maps every (agent, own state, time) slot
+    that two or more interactions hold to its (interaction, member
+    position, decision point) entries; such a slot has one y column per
+    agent action."""
+    first, slots = {}, {}
+    for i in sorted(layers.per_interaction):
+        layers_i = layers.per_interaction[i]
+        decision_layers = layers_i.layers[: layers.horizon]
+        first[i] = list(accumulate(map(len, decision_layers), initial=0))
+        for k, layer in enumerate(decision_layers):
+            for n, s in enumerate(layer, start=first[i][k]):
+                for pos, v in enumerate(layers_i.view.members):
+                    slots.setdefault((v, s[pos], k), []).append((i, pos, n))
+    # entries come in interaction order
+    shared = {
+        slot: entries for slot, entries in slots.items() if entries[0][0] != entries[-1][0]
+    }
+    return first, shared
+
+
+def _occupancy_columns(instance: MccSspInstance, layers: LayeredSpace) -> int:
+    """Number of columns ``build_ilp`` makes: x blocks per flow index and a
+    z block per interaction, and the shared slots' y columns."""
+    first, shared = _occupancy_layout(layers)
+    n_blocks = 2 + len(instance.criteria)
+    return sum(
+        n_blocks * first[i][-1] * len(layers.per_interaction[i].joint_actions) for i in first
+    ) + sum(len(instance.agents[v].actions) for v, _, _ in shared)
 
 
 def build_ilp(instance: MccSspInstance, layers: LayeredSpace | None = None) -> IlpModel:
@@ -181,21 +239,16 @@ def build_ilp(instance: MccSspInstance, layers: LayeredSpace | None = None) -> I
 
     # interaction -> criterion -> state -> aggregate risk
     rt = {layers_i.id: {j: layers_i.state_risks(j) for j in criteria} for layers_i in layers}
-
-    delta_tilde = {}
-    for j in criteria:
-        init = sum(rt[layers_i.id][j][layers_i.layers[0][0]] for layers_i in layers)
-        delta_tilde[j] = instance.risk_budgets[j] - init
-    if any(slack < 0 for slack in delta_tilde.values()):
-        raise BudgetExhausted(delta_tilde)
+    delta_tilde = _reduced_budgets(instance, layers)
 
     # columns: every interaction's x blocks, one per flow index, then every
-    # interaction's z block, then the shared-agent selectors y.  A block has
-    # one column per (decision point, joint action); decision point n of
-    # layer k is number first[i][k] + its place in the layer.  Nonzeros are
-    # (row, col, value) triplets, rows come with their bounds.
-    ids = sorted(layers.per_interaction)
-    first, width, x_start, z_start = {}, {}, {}, {}
+    # interaction's z block, then the shared-agent selectors y, laid out by
+    # _occupancy_layout.  A block has one column per (decision point, joint
+    # action).  Nonzeros are (row, col, value) triplets, rows come with
+    # their bounds.
+    first, shared = _occupancy_layout(layers)
+    ids = list(first)
+    width, x_start, z_start = {}, {}, {}
     objective, col_blocks, row_blocks = [], [], []
     row_ix, col_ix, vals, lower, upper = [], [], [], [], []
 
@@ -209,7 +262,6 @@ def build_ilp(instance: MccSspInstance, layers: LayeredSpace | None = None) -> I
     for i in ids:
         layers_i = layers.per_interaction[i]
         n_a = len(layers_i.joint_actions)
-        first[i] = list(accumulate((len(layer) for layer in layers_i.layers[:horizon]), initial=0))
         n_points = first[i][-1]
         width[i] = n_points * n_a
         x_start[i] = len(objective)
@@ -287,18 +339,9 @@ def build_ilp(instance: MccSspInstance, layers: LayeredSpace | None = None) -> I
     # every such state's per-action selector sum is tied to one shared
     # binary, forcing a single agent action per (own state, time) across
     # (and within) the sharing interactions
-    slot_states = {}
-    for i in ids:
-        members = layers.per_interaction[i].view.members
-        for k in range(horizon):
-            for n, s in enumerate(layers.per_interaction[i].layers[k], start=first[i][k]):
-                for pos, v in enumerate(members):
-                    slot_states.setdefault((v, s[pos], k), []).append((i, pos, n))
     cons_start = len(lower)
-    for slot in sorted(slot_states, key=skey):
-        entries = slot_states[slot]
-        if len({i for i, _, _ in entries}) < 2:
-            continue
+    for slot in sorted(shared, key=skey):
+        entries = shared[slot]
         for av in instance.agents[slot[0]].sorted_actions():
             y_col = len(objective)
             objective.append(0.0)
@@ -328,11 +371,195 @@ def build_ilp(instance: MccSspInstance, layers: LayeredSpace | None = None) -> I
 
 
 # ---------------------------------------------------------------------------
+# path formulation
+
+
+@dataclass
+class PathModel:
+    """Open-loop path model of an instance (see ``build_path_model``).
+
+    ``paths[v]`` lists decision agent v's paths as (states, actions), and
+    its path binaries start at column ``b_start[v]``.  ``points`` holds,
+    per interaction, its decision agents in member order and the
+    (utility, risks) of the interaction for every combination of their
+    path indices."""
+
+    instance: MccSspInstance
+    layers: LayeredSpace
+    criteria: tuple
+    paths: dict
+    b_start: dict
+    points: list
+    matrix: MatrixForm
+
+
+def _agent_paths(agent: AgentMdp, horizon: int, limit: int) -> list | None:
+    """Every open-loop path of a deterministic agent as (states, actions),
+    one per distinct state sequence: each step takes the best-utility
+    action to its successor, the earlier sorted action on ties.  None when
+    a reachable transition branches or there are more than ``limit``."""
+    actions = agent.sorted_actions()
+    paths = []
+
+    def extend(states, taken):
+        if len(taken) == horizon:
+            paths.append((states, taken))
+            return len(paths) <= limit
+        best = {}
+        for a in actions:
+            succ = [t for t, p in agent.successors(states[-1], a).items() if p > 0.0]
+            if len(succ) != 1:
+                return False
+            u = agent.reward(states[-1], a)
+            if succ[0] not in best or u > best[succ[0]][0]:
+                best[succ[0]] = (u, a)
+        return all(extend(states + (t,), taken + (a,)) for t, (_, a) in best.items())
+
+    return paths if extend((agent.initial_state,), ()) else None
+
+
+class _Schedule:
+    """Open-loop assignment table: ``steps[k]`` at every state of step k."""
+
+    def __init__(self, steps):
+        self.steps = steps
+
+    def __getitem__(self, key):
+        return self.steps[key[1]]
+
+
+def _open_loop_steps(instance: MccSspInstance, layers_i, chosen: dict) -> list:
+    """Joint action per step of one interaction whose decision members
+    take the actions of their paths in ``chosen`` and whose other members
+    take their only action."""
+    horizon = len(layers_i.layers) - 1
+    return list(zip(*(
+        chosen[v][1] if v in chosen else instance.agents[v].actions[:1] * horizon
+        for v in layers_i.view.members
+    )))
+
+
+def build_path_model(
+    instance: MccSspInstance, layers: LayeredSpace | None = None
+) -> PathModel | None:
+    """The path formulation, or None where it does not apply.
+
+    It applies when some agent belongs to two or more interactions, every
+    agent with more than one action has deterministic own transitions and
+    belongs to two or more interactions or is alone in its only one, and
+    the model has no more columns than ``build_ilp``'s.  Such an agent is
+    bound to one action per (own state, time): by the consistency rows
+    where it is shared, and trivially where it is alone.  Its policy is
+    then an open-loop path, and the occupancy optimum is the best
+    combination of paths within the budgets.  Single-action agents follow
+    their only action, and may branch.
+
+    Raises BudgetExhausted as ``build_ilp`` does.
+    """
+    if layers is None:
+        layers = reachable_layers(instance)
+    points_of = {}
+    for point in instance.interactions:
+        for v in point.members:
+            points_of.setdefault(v, []).append(point)
+    if all(len(points) < 2 for points in points_of.values()):
+        return None
+    limit = _occupancy_columns(instance, layers)
+    paths = {}
+    for v in sorted(instance.agents, key=skey):
+        agent = instance.agents[v]
+        if len(agent.actions) == 1:
+            continue
+        points = points_of[v]
+        if len(points) < 2 and points[0].members != (v,):
+            return None
+        paths[v] = _agent_paths(agent, instance.horizon, limit)
+        if paths[v] is None:
+            return None
+    groups = [[v for v in layers_i.view.members if v in paths] for layers_i in layers]
+    n_b = sum(map(len, paths.values()))
+    n_w = sum(math.prod(len(paths[v]) for v in group) for group in groups if len(group) > 1)
+    if n_b + n_w > limit:
+        return None
+    _reduced_budgets(instance, layers)
+
+    criteria = instance.criteria
+    b_start = dict(zip(paths, accumulate(map(len, paths.values()), initial=0)))
+    # rows: one per decision agent summing its path binaries to 1, one risk
+    # row per criterion, then each multi-agent interaction's marginal rows
+    # (the w of one member path sum to that path's binary)
+    objective = [0.0] * n_b
+    col_blocks = [((f"b_{n}",), len(ps)) for n, ps in enumerate(paths.values())]
+    row_blocks = [(("path",), len(paths))] + [((f"risk_{j}",), 1) for j in criteria]
+    row_ix, col_ix, vals = [], [], []
+    for r, v in enumerate(paths):
+        row_ix += [r] * len(paths[v])
+        col_ix += range(b_start[v], b_start[v] + len(paths[v]))
+        vals += [1.0] * len(paths[v])
+    risk_row = len(paths)
+    lower = [1.0] * len(paths) + [-math.inf] * len(criteria)
+    upper = [1.0] * len(paths) + [instance.risk_budgets[j] for j in criteria]
+
+    model_points = []
+    for layers_i, group in zip(layers, groups):
+        values = {}
+        for combo in product(*(range(len(paths[v])) for v in group)):
+            chosen = {v: paths[v][p] for v, p in zip(group, combo)}
+            table = _Schedule(_open_loop_steps(instance, layers_i, chosen))
+            values[combo] = evaluate_table(layers_i, table, criteria)
+        model_points.append((layers_i, tuple(group), values))
+        if len(group) > 1:
+            marginal = list(accumulate((len(paths[v]) for v in group), initial=len(lower)))
+            for v, r0 in zip(group, marginal):
+                row_ix += range(r0, r0 + len(paths[v]))
+                col_ix += range(b_start[v], b_start[v] + len(paths[v]))
+                vals += [-1.0] * len(paths[v])
+            lower += [0.0] * (marginal[-1] - marginal[0])
+            upper += [0.0] * (marginal[-1] - marginal[0])
+            row_blocks.append(((f"marg_i{layers_i.id}",), marginal[-1] - marginal[0]))
+            col_blocks.append(((f"w_i{layers_i.id}",), len(values)))
+        for combo, (u, risks) in values.items():
+            if not group:  # no decision here: a constant
+                for n, r in enumerate(risks):
+                    upper[risk_row + n] -= r
+                continue
+            if len(group) == 1:
+                col = b_start[group[0]] + combo[0]
+                objective[col] += u
+            else:
+                col = len(objective)
+                objective.append(u)
+                row_ix += [r0 + p for r0, p in zip(marginal, combo)]
+                col_ix += [col] * len(combo)
+                vals += [1.0] * len(combo)
+            for n, r in enumerate(risks):
+                if r != 0.0:
+                    row_ix.append(risk_row + n)
+                    col_ix.append(col)
+                    vals.append(r)
+
+    n_cols = len(objective)
+    matrix = MatrixForm(
+        a=sparse.csr_matrix((vals, (row_ix, col_ix)), shape=(len(lower), n_cols)),
+        row_lower=np.array(lower),
+        row_upper=np.array(upper),
+        objective=np.array(objective, dtype=float),
+        integrality=np.array([1] * n_b + [0] * (n_cols - n_b)),
+        col_blocks=tuple(col_blocks),
+        row_blocks=tuple(row_blocks),
+    )
+    return PathModel(instance, layers, criteria, paths, b_start, model_points, matrix)
+
+
+# ---------------------------------------------------------------------------
 # backend
 
 
 class ScipyHighsBackend:
-    """HiGHS through scipy.optimize.milp."""
+    """HiGHS through scipy.optimize.milp, with the feasibility-jump
+    heuristic off: it costs about 8 ms on every model that reaches the
+    branch-and-bound root, and on time-limited occupancy solves it found
+    no incumbent that HiGHS missed without it."""
 
     def solve(
         self,
@@ -342,9 +569,14 @@ class ScipyHighsBackend:
     ):
         """Returns (status, x, objective), status one of optimal, infeasible
         or time_limit (x is the incumbent, or None when there is none);
-        anything else is a failure."""
+        anything else is a failure.  A model without columns is feasible
+        when every row's bounds admit 0 within RISK_VERIFY_SLACK."""
         if matrix.n_cols == 0:
-            return "optimal", np.zeros(0), 0.0
+            if np.all(matrix.row_lower <= RISK_VERIFY_SLACK) and np.all(
+                matrix.row_upper >= -RISK_VERIFY_SLACK
+            ):
+                return "optimal", np.zeros(0), 0.0
+            return "infeasible", None, float("nan")
         constraints = []
         if matrix.n_rows:
             constraints = [
@@ -353,17 +585,23 @@ class ScipyHighsBackend:
         options = {
             "mip_rel_gap": DEFAULT_MIP_REL_GAP if mip_rel_gap is None else mip_rel_gap,
             "presolve": True,
+            "mip_heuristic_run_feasibility_jump": False,
         }
         if time_limit is not None:
             options["time_limit"] = float(time_limit)
-        # milp minimizes, so the objective is negated both ways
-        res = scipy.optimize.milp(
-            c=-matrix.objective,
-            constraints=constraints,
-            integrality=matrix.integrality,
-            bounds=scipy.optimize.Bounds(0, 1),
-            options=options,
-        )
+        # milp minimizes, so the objective is negated both ways; it passes
+        # options it does not know to HiGHS verbatim, with a warning
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", message="Unrecognized options detected", category=RuntimeWarning
+            )
+            res = scipy.optimize.milp(
+                c=-matrix.objective,
+                constraints=constraints,
+                integrality=matrix.integrality,
+                bounds=scipy.optimize.Bounds(0, 1),
+                options=options,
+            )
         if res.status == 0:
             return "optimal", res.x, -res.fun
         if res.status == 2:
@@ -405,19 +643,23 @@ def extract_policy(model: IlpModel, x: np.ndarray) -> Policy:
 
 
 def solve(
-    model: IlpModel,
+    model: IlpModel | PathModel,
     time_limit: float | None = None,
     mip_rel_gap: float | None = None,
 ) -> SolveResult:
     """Decide a built model and read back the policy, flows, and post-hoc
-    risk evaluation.  The backward-DP certificate decides first where it
-    applies; otherwise HiGHS does, and its optimal results are verified
-    against the budgets.  A time-out without incumbent falls back to the
-    default-action policy when that fits every budget."""
+    risk evaluation.  HiGHS decides a path model.  For an occupancy model
+    the backward-DP certificate decides first where it applies; otherwise
+    HiGHS does.  HiGHS's optimal results are verified against the budgets.
+    A time-out without incumbent falls back to the default-action policy
+    when that fits every budget."""
     start = time.perf_counter()
-    result = _dp_certificate(model)
-    if result is None:
-        result = _solve_mip(model, time_limit, mip_rel_gap)
+    if isinstance(model, PathModel):
+        result = _solve_paths(model, time_limit, mip_rel_gap)
+    else:
+        result = _dp_certificate(model)
+        if result is None:
+            result = _solve_mip(model, time_limit, mip_rel_gap)
     result.solve_seconds = time.perf_counter() - start
     return result
 
@@ -491,6 +733,20 @@ def _solve_mip(model: IlpModel, time_limit, mip_rel_gap) -> SolveResult:
                 if abs(v) > 1e-12:
                     per[(i, k, s, a)] = v
         flows[j] = per
+    return SolveResult(
+        status=status,
+        objective=float(objective),
+        policy=policy,
+        flows=flows,
+        risks=_verified_risks(model, policy, status),
+        decided_by="mip",
+    )
+
+
+def _verified_risks(model, policy: Policy, status: str) -> dict:
+    """Execution risk of a policy read off HiGHS's solution, per criterion;
+    an optimal one over a budget by more than RISK_VERIFY_SLACK is a
+    SolverFailure."""
     risks = {
         j: execution_risk(model.instance, model.layers, policy, j)
         for j in model.criteria
@@ -502,17 +758,36 @@ def _solve_mip(model: IlpModel, time_limit, mip_rel_gap) -> SolveResult:
                     f"extracted policy violates budget {j!r}: "
                     f"{value} > {model.instance.risk_budgets[j]}"
                 )
-    return SolveResult(
-        status=status,
-        objective=float(objective),
-        policy=policy,
-        flows=flows,
-        risks=risks,
-        decided_by="mip",
-    )
+    return risks
 
 
-def _default_action_fallback(model: IlpModel) -> SolveResult:
+def _solve_paths(model: PathModel, time_limit, mip_rel_gap) -> SolveResult:
+    """HiGHS picks one path per decision agent; the policy follows the
+    chosen paths at every interaction, and its objective is the sum of the
+    chosen combinations' utilities."""
+    status, x, _ = ScipyHighsBackend().solve(model.matrix, time_limit, mip_rel_gap)
+    if status == "infeasible":
+        return SolveResult(status="infeasible", decided_by="paths")
+    if x is None:
+        return _default_action_fallback(model)
+    xs = x.tolist()
+    chosen = {
+        v: max(range(len(paths)), key=lambda p: xs[model.b_start[v] + p])
+        for v, paths in model.paths.items()
+    }
+    utility, assignments = 0.0, {}
+    for layers_i, group, values in model.points:
+        utility += values[tuple(chosen[v] for v in group)][0]
+        steps = _open_loop_steps(
+            model.instance, layers_i, {v: model.paths[v][chosen[v]] for v in group}
+        )
+        assignments[layers_i.id] = {(s, k): steps[k] for k, s in layers_i.decision_points()}
+    policy = Policy(assignments)
+    risks = _verified_risks(model, policy, status)
+    return _policy_result(model, status, "paths", policy, utility, risks)
+
+
+def _default_action_fallback(model: IlpModel | PathModel) -> SolveResult:
     """The default-joint-action policy (all-wait in the intersection, where
     it is feasible by construction) as a time_limit result when it fits
     every budget; SolverFailure otherwise."""
@@ -543,12 +818,16 @@ def solve_instance(
     time_limit: float | None = None,
     mip_rel_gap: float | None = None,
 ) -> SolveResult:
-    """Validate, layer, build, and solve; maps BudgetExhausted to a status."""
+    """Validate, layer, build, and solve; maps BudgetExhausted to a status.
+    The path model is built where it applies, the occupancy model
+    otherwise."""
     build_start = time.perf_counter()
     if layers is None:
         layers = reachable_layers(instance)
     try:
-        model = build_ilp(instance, layers)
+        model = build_path_model(instance, layers)
+        if model is None:
+            model = build_ilp(instance, layers)
     except BudgetExhausted:
         return SolveResult(
             status="budget_exhausted",

@@ -117,6 +117,38 @@ class ScenarioConfig:
     priority: float = 1.0
     time_limit: float | None = None
 
+    def validate(self) -> None:
+        """Raise ValueError on the first value a run cannot use, of a wrong
+        type or out of range."""
+        for name in ("mc_samples", "queue_depth", "horizon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("dt", "hz", "w_max", "signal_cycle_s"):
+            value = getattr(self, name)
+            if not _finite_number(value) or value <= 0:
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
+        if round(self.dt * self.hz) < 1:
+            raise ValueError(f"dt * hz must be at least one tube sample, got {self.dt * self.hz!r}")
+        for name in ("delta", "hv_fraction", "hv_commit_fraction", "deviation_rate"):
+            value = getattr(self, name)
+            if not _finite_number(value) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        if not isinstance(self.speeds, dict) or not self.speeds or not all(
+            _finite_number(v) and v > 0 for v in self.speeds.values()
+        ):
+            raise ValueError(
+                f"speeds must be a map of names to positive numbers, got {self.speeds!r}"
+            )
+        if not isinstance(self.hv_speed, str) or self.hv_speed not in self.speeds:
+            raise ValueError(
+                f"hv_speed {self.hv_speed!r} is not one of speeds {sorted(self.speeds)}"
+            )
+
+
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
 
 @dataclass
 class PairRisk:

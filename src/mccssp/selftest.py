@@ -1,11 +1,15 @@
 """Seeded random small instances and the oracle-equivalence suite.
 
-The generator draws instances small enough for exhaustive policy
-enumeration (sparse successor sets keep the reachable layers narrow) and
-the runner checks, per instance, that the exact solver and the brute-force
-oracle agree on feasibility and optimal objective, that the returned
-policy respects every budget, and that the linear risk expression matches
-the recursion at the solution.
+Two generators draw instances small enough for exhaustive policy
+enumeration (sparse successor sets keep the reachable layers narrow):
+``random_instance``, the general family, and ``random_path_instance``,
+whose decision agents are deterministic and shared, so the path
+formulation decides them.  The runner draws from ``random_instance``
+(the acceptance suite swaps in ``random_path_instance``) and checks, per
+instance, that the exact solver and the brute-force oracle agree on
+feasibility and optimal objective, that the returned policy respects
+every budget, and that the linear risk expression matches the recursion
+at the solution.
 """
 
 from __future__ import annotations
@@ -154,6 +158,63 @@ def random_instance(
     )
 
 
+def _deterministic_agent(rng: np.random.Generator, n_states: int, n_actions: int) -> AgentMdp:
+    states = list(range(n_states))
+    actions = tuple(f"a{n}" for n in range(n_actions))
+    transition = {(s, a): {int(rng.integers(n_states)): 1.0} for s in states for a in actions}
+    utility = {(s, a): float(round(rng.random() * 5.0, 3)) for s in states for a in actions}
+    return AgentMdp(
+        states=set(states),
+        actions=actions,
+        transition=transition,
+        utility=utility,
+        initial_state=int(rng.integers(n_states)),
+    )
+
+
+def random_path_instance(rng: np.random.Generator) -> MccSspInstance:
+    """One random instance of the path family: 2-3 deterministic agents
+    with 2-3 states and 2-3 actions, sometimes one single-action agent
+    whose transitions branch, one or two interactions of 2-3 members, a
+    singleton interaction for every decision agent that would otherwise
+    belong to only one interaction, or to none, and horizon 1-3."""
+    agents = {
+        f"v{n}": _deterministic_agent(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        for n in range(int(rng.integers(2, 4)))
+    }
+    if rng.random() < 0.5:
+        agents["h"] = _random_agent(rng, 2, 1)
+    names = list(agents)
+    members_per_point = []
+    for _ in range(int(rng.integers(1, 3))):
+        size = int(rng.integers(2, min(3, len(names)) + 1))
+        picked = sorted(rng.choice(len(names), size=size, replace=False))
+        members_per_point.append(tuple(names[n] for n in picked))
+    for v in names:
+        n = sum(v in members for members in members_per_point)
+        if n == 0 or (n == 1 and len(agents[v].actions) > 1):
+            members_per_point.append((v,))
+
+    n_criteria = 1 if rng.random() < 0.8 else 2
+    criteria = tuple(f"j{n}" for n in range(n_criteria))
+    owner_flags = assign_utility_owners(members_per_point)
+    points = tuple(
+        InteractionPoint(
+            id=i,
+            members=members,
+            utility_owners=owner_flags[i],
+            risk=_random_risk(rng, members, agents, criteria),
+        )
+        for i, members in enumerate(members_per_point)
+    )
+    return MccSspInstance(
+        agents=agents,
+        interactions=points,
+        horizon=int(rng.integers(1, 4)),
+        risk_budgets={j: float(round(rng.random() * 0.5, 4)) for j in criteria},
+    )
+
+
 @dataclass
 class EquivalenceReport:
     instances: int = 0
@@ -161,6 +222,7 @@ class EquivalenceReport:
     infeasible: int = 0
     budget_exhausted: int = 0
     dp_decided: int = 0  # optimal or infeasible by the backward-DP certificate
+    paths_decided: int = 0  # optimal or infeasible by the path formulation
     resampled: int = 0
     max_objective_gap: float = 0.0
     max_budget_excess: float = 0.0
@@ -180,6 +242,8 @@ def check_instance(instance: MccSspInstance, cap: int, report: EquivalenceReport
     oracle = brute_force_optimal(instance, layers, cap=cap)
     if result.decided_by == "dp":
         report.dp_decided += 1
+    elif result.decided_by == "paths":
+        report.paths_decided += 1
 
     if result.status == "budget_exhausted":
         report.budget_exhausted += 1

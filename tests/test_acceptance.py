@@ -41,7 +41,9 @@ LINEAR_TOL = 1e-9
 CHAIN_TOL = 1e-12
 
 
-def test_oracle_equivalence_200_instances(monkeypatch):
+def _record_decided(monkeypatch, verdicts):
+    """Record (instance, result) for every selftest solve that one of
+    ``verdicts`` decided, resampled draws included."""
     from mccssp import selftest
 
     decided = []
@@ -49,34 +51,72 @@ def test_oracle_equivalence_200_instances(monkeypatch):
 
     def recording_solve(instance, *args, **kwargs):
         result = solve(instance, *args, **kwargs)
-        if result.decided_by == "dp":
+        if result.decided_by in verdicts:
             decided.append((instance, result))
         return result
 
     monkeypatch.setattr(selftest, "solve_instance", recording_solve)
-    report = run_oracle_equivalence(n_instances=200, seed=20_240)
-    for failure in report.failures:
-        print("FAIL detail:", failure)
-    assert report.ok, report.failures
-    assert report.instances == 200
-    # keep the formulation under test where the DP certificate decided:
-    # HiGHS on the same matrix must reach the same verdict and objective
-    # (resampled draws are recorded too, so there can be more of them)
-    assert len(decided) >= report.dp_decided > 0
+    return decided
+
+
+def _occupancy_mip_gap(decided):
+    """Keep the occupancy formulation under test where it did not decide:
+    HiGHS on its matrix must reach the same verdict and objective."""
     mip_gap = 0.0
     for instance, result in decided:
         status, _, objective = ScipyHighsBackend().solve(build_ilp(instance).matrix)
         assert status == result.status
         if status == "optimal":
             mip_gap = max(mip_gap, abs(objective - result.objective))
+    return mip_gap
+
+
+def test_oracle_equivalence_200_instances(monkeypatch):
+    decided = _record_decided(monkeypatch, ("dp", "paths"))
+    report = run_oracle_equivalence(n_instances=200, seed=20_240)
+    for failure in report.failures:
+        print("FAIL detail:", failure)
+    assert report.ok, report.failures
+    assert report.instances == 200
+    assert (report.solved, report.infeasible, report.budget_exhausted) == (133, 28, 39)
+    # (resampled draws are recorded too, so there can be more of them)
+    assert len(decided) >= report.dp_decided + report.paths_decided
+    assert report.dp_decided > 0
+    mip_gap = _occupancy_mip_gap(decided)
     assert mip_gap <= OBJECTIVE_TOL
     print(
         f"PASS oracle equivalence: 200 instances ({report.solved} solved, "
         f"{report.infeasible} infeasible, {report.budget_exhausted} budget-exhausted), "
         f"max objective gap {report.max_objective_gap:.2e} <= {OBJECTIVE_TOL}, "
         f"max budget excess {report.max_budget_excess:.2e} <= {RISK_TOL}, "
-        f"{report.seconds:.1f}s; {report.dp_decided} decided by the DP certificate, "
-        f"HiGHS on their matrices within {mip_gap:.2e}"
+        f"{report.seconds:.1f}s; {report.dp_decided} decided by the DP certificate and "
+        f"{report.paths_decided} by the path formulation, "
+        f"HiGHS on their occupancy matrices within {mip_gap:.2e}"
+    )
+
+
+def test_oracle_equivalence_path_family(monkeypatch):
+    from mccssp import selftest
+
+    decided = _record_decided(monkeypatch, ("paths",))
+    monkeypatch.setattr(selftest, "random_instance", selftest.random_path_instance)
+    report = run_oracle_equivalence(n_instances=150, seed=20_240)
+    for failure in report.failures:
+        print("FAIL detail:", failure)
+    assert report.ok, report.failures
+    assert report.instances == 150
+    assert report.solved > 50 and report.infeasible > 10
+    # every draw shares a deterministic agent; only the column-count rule
+    # may send one to the occupancy formulation
+    assert report.paths_decided >= 0.95 * (report.solved + report.infeasible)
+    mip_gap = _occupancy_mip_gap(decided)
+    assert mip_gap <= OBJECTIVE_TOL
+    print(
+        f"PASS path-family oracle equivalence: 150 instances ({report.solved} solved, "
+        f"{report.infeasible} infeasible, {report.budget_exhausted} budget-exhausted), "
+        f"{report.paths_decided} decided by the path formulation, "
+        f"max objective gap {report.max_objective_gap:.2e}, "
+        f"HiGHS on their occupancy matrices within {mip_gap:.2e}"
     )
 
 
@@ -259,18 +299,16 @@ def test_planning_time_envelope_16_avs():
 
     report_lines = []
     h1_times = []
+    verdicts = {}
     for h in (1, 2, 3, 4):
         inst, _ = build_intersection_instance(
             scenario, vehicles, green_side="N", horizon=h, delta=0.05
         )
         layers = reachable_layers(inst)
-        t0 = time.perf_counter()
-        model = build_ilp(inst, layers)
-        preprocess = time.perf_counter() - t0
         result = solve_instance(
             inst, layers, time_limit=None if h == 1 else 20.0, mip_rel_gap=1e-4
         )
-        status, solve_s = result.status, result.solve_seconds
+        status, preprocess, solve_s = result.status, result.build_seconds, result.solve_seconds
         note = ""
         if status == "infeasible":
             # the all-wait plan is feasible by construction; prove it and
@@ -294,13 +332,19 @@ def test_planning_time_envelope_16_avs():
             for _ in range(3):
                 r = solve_instance(inst, layers)
                 h1_times.append(r.build_seconds + r.solve_seconds)
+        verdicts[h] = (status, result.decided_by)
         report_lines.append(
             f"  h={h}: preprocess {preprocess:.3f}s solve {solve_s:.3f}s "
-            f"({status}, decided_by {result.decided_by}){note}"
+            f"({status}, decided_by {result.decided_by}, objective "
+            f"{result.objective:.1f}){note}"
         )
 
     mean_h1 = float(np.mean(h1_times))
     assert mean_h1 < 1.0, f"h=1 mean plan time {mean_h1:.3f}s"
+    # every AV is deterministic and shared, so the path formulation
+    # decides each cell, within the 20 s limit
+    for h in (2, 3, 4):
+        assert verdicts[h] == ("optimal", "paths"), "\n".join(report_lines)
     print(
         "PASS planning-time envelope (hard bound h=1): "
         f"mean h=1 plan {mean_h1:.3f}s < 1s; report for 16 AVs, 2 actions:\n"

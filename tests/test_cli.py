@@ -267,3 +267,25 @@ def test_grid_bench_solver_failure_writes_every_row_then_exits_2(tmp_path, monke
     statuses = [dict(zip(lines[1].split(","), line.split(",")))["status"] for line in lines[2:]]
     assert statuses == ["optimal", "solver_failure", "optimal"] * 2
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    {"mc_samples": 0}, {"queue_depth": 0}, {"mc_samples": "abc"}, {"horizon": None},
+    {"queue_depth": 1.5}, {"speeds": [8]},
+])
+def test_intersect_sim_bad_scenario_values_are_input_errors(
+    override, tmp_path, monkeypatch, capsys
+):
+    import mccssp.cli
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**override, "enabled_lanes": ["N0", "E0"]}))
+    ran = []
+    monkeypatch.setattr(mccssp.cli, "_sim_cell", lambda job: ran.append(job))
+    argv = ["intersect-sim", str(path), "--planners", "fcfs", "--replications", "1",
+            "--duration", "5"]
+    assert main(argv) == 1
+    (name,) = override
+    assert capsys.readouterr().err.startswith(f"error: scenario: {name} must be")
+    assert ran == []
+

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,11 +11,13 @@ from scipy.optimize._highspy._core import HighsStatus, _Highs
 from builders import make_chain_instance, make_risky_safe_instance
 from mccssp.grid import GridSpec, generate_grid_instance
 from mccssp.ilp import (
+    RISK_VERIFY_SLACK,
     BudgetExhausted,
     MatrixForm,
     ScipyHighsBackend,
     SolverFailure,
     build_ilp,
+    build_path_model,
     solve,
     solve_instance,
 )
@@ -185,7 +188,20 @@ def test_certificate_proves_infeasible():
 
 
 def test_certificate_skips_shared_agents():
+    # the shared agent is deterministic, so the path formulation decides
     result, _ = _certified(_shared_agent_instance())
+    assert (result.status, result.decided_by) == ("optimal", "paths")
+
+
+def test_shared_stochastic_agent_goes_to_the_occupancy_mip():
+    inst = _shared_agent_instance()
+    coin = dataclasses.replace(
+        inst.agents["s"],
+        transition={(s, a): {0: 0.5, 1: 0.5} for s in (0, 1) for a in ("x", "y")},
+    )
+    inst = dataclasses.replace(inst, agents={**inst.agents, "s": coin})
+    assert build_path_model(inst) is None
+    result, _ = _certified(inst)
     assert (result.status, result.decided_by) == ("optimal", "mip")
 
 
@@ -271,3 +287,159 @@ def test_ilp_dimensions_invariant_to_ambient_grid():
         model = build_ilp(generate_grid_instance(spec))
         shapes[width] = (model.x_count, model.z_count, model.matrix.n_rows)
     assert shapes[100] == shapes[10_000]
+
+
+def _path_family(n, seed=7):
+    """The first n valid draws of the selftest's path family."""
+    from mccssp.model import validate_instance
+    from mccssp.selftest import random_path_instance
+
+    rng = np.random.default_rng(seed)
+    drawn = []
+    while len(drawn) < n:
+        inst = random_path_instance(rng)
+        if not validate_instance(inst):
+            drawn.append(inst)
+    return drawn
+
+
+def test_path_model_of_the_shared_agent_instance():
+    # "s" has two actions to the same successor: one path, the better one
+    model = build_path_model(_shared_agent_instance())
+    assert model.paths == {"s": [((0, 1), ("x",))]}
+    assert (model.matrix.n_cols, int(model.matrix.integrality.sum())) == (1, 1)
+    result = solve(model)
+    assert (result.status, result.decided_by, result.objective) == ("optimal", "paths", 1.0)
+    assert result.policy.assignments == {0: {((0, 0), 0): ("x", "w")}, 1: {((0,), 0): ("x",)}}
+
+
+def test_path_model_keeps_the_budget_exhausted_check():
+    # a risky initial state at the shared agent's pair point
+    inst = _shared_agent_instance()
+    point = dataclasses.replace(
+        inst.interactions[0], risk={"j": StateRisk.from_aggregate({(0, 0): 0.5})}
+    )
+    inst = dataclasses.replace(
+        inst, interactions=(point, inst.interactions[1]), risk_budgets={"j": 0.4}
+    )
+    with pytest.raises(BudgetExhausted):
+        build_path_model(inst)
+    assert solve_instance(inst).status == "budget_exhausted"
+
+
+@pytest.mark.parametrize("budget, status", [(0.3, "infeasible"), (0.5, "optimal")])
+def test_constant_only_path_model_is_checked_against_the_budget(budget, status):
+    # a single-action shared agent and no decision: every model column is
+    # gone, and the risk 0.4 reached after one step is all that is left
+    inst = _shared_agent_instance()
+    fixed = dataclasses.replace(
+        inst.agents["s"], actions=("x",),
+        transition={(s, "x"): {1: 1.0} for s in (0, 1)},
+        utility={(s, "x"): 1.0 for s in (0, 1)},
+    )
+    point = dataclasses.replace(
+        inst.interactions[1], risk={"j": StateRisk.from_aggregate({(1,): 0.4})}
+    )
+    inst = dataclasses.replace(
+        inst, agents={**inst.agents, "s": fixed},
+        interactions=(inst.interactions[0], point), risk_budgets={"j": budget},
+    )
+    model = build_path_model(inst)
+    assert model.matrix.n_cols == 0
+    result, _ = _certified(inst)
+    assert (result.status, result.decided_by) == (status, "paths")
+
+
+def test_path_model_needs_no_more_columns_than_the_occupancy_model():
+    decided = 0
+    for inst in _path_family(30):
+        layers = reachable_layers(inst)
+        try:
+            model = build_path_model(inst, layers)
+        except BudgetExhausted:
+            continue
+        if model is not None:
+            assert model.matrix.n_cols <= build_ilp(inst, layers).matrix.n_cols
+            decided += 1
+    assert decided > 10
+
+
+def test_path_model_lp_export_reads_back_into_highs(tmp_path):
+    exported = 0
+    for inst in _path_family(10):
+        try:
+            model = build_path_model(inst)
+        except BudgetExhausted:
+            continue
+        matrix = model.matrix
+        path = tmp_path / f"paths{exported}.lp"
+        path.write_text(matrix.to_lp_text())
+        highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+        assert highs.readModel(str(path)) == HighsStatus.kOk
+        assert (highs.getNumCol(), highs.getNumRow(), highs.getNumNz()) == (
+            matrix.n_cols, matrix.n_rows, matrix.a.nnz
+        )
+        exported += 1
+    assert exported > 3
+
+
+def test_backend_turns_feasibility_jump_off_without_warning(risky_safe, monkeypatch):
+    matrix = build_ilp(risky_safe).matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ScipyHighsBackend().solve(matrix)[0] == "optimal"
+    seen = {}
+    real = scipy.optimize.milp
+
+    def stub(*args, **kwargs):
+        seen.update(kwargs["options"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", stub)
+    ScipyHighsBackend().solve(matrix)
+    assert seen["mip_heuristic_run_feasibility_jump"] is False
+
+
+def test_model_without_columns_is_feasible_only_if_rows_admit_zero():
+    def empty(upper):
+        return MatrixForm(
+            sparse.csr_matrix((1, 0)), np.array([-np.inf]), np.array([upper]),
+            np.zeros(0), np.zeros(0, dtype=int),
+        )
+
+    # rounding (0.1 + 0.2 against a 0.3 budget) is within RISK_VERIFY_SLACK
+    assert ScipyHighsBackend().solve(empty(0.3 - (0.1 + 0.2)))[0] == "optimal"
+    assert ScipyHighsBackend().solve(empty(-2 * RISK_VERIFY_SLACK))[0] == "infeasible"
+
+
+def test_agent_beside_a_branching_agent_is_left_to_the_occupancy_mip():
+    # "a" shares its only point with "h", whose state branches; waiting a
+    # step and going only if "h" stayed at h0 beats every open-loop path
+    a = AgentMdp(
+        states={0, 1},
+        actions=("go", "wait"),
+        transition={(0, "go"): {1: 1.0}, (0, "wait"): {0: 1.0},
+                    (1, "go"): {1: 1.0}, (1, "wait"): {1: 1.0}},
+        utility={(0, "go"): 1.0, (0, "wait"): 0.0, (1, "go"): 0.0, (1, "wait"): 0.0},
+        initial_state=0,
+        wait_action="wait",
+    )
+    h = AgentMdp(
+        states={"h0", "h1"},
+        actions=("hv",),
+        transition={("h0", "hv"): {"h0": 0.5, "h1": 0.5}, ("h1", "hv"): {"h1": 1.0}},
+        utility={("h0", "hv"): 0.0, ("h1", "hv"): 0.0},
+        initial_state="h0",
+    )
+    points = (
+        InteractionPoint(
+            0, ("a", "h"), (True, True), {"j": StateRisk.from_aggregate({(1, "h1"): 1.0})}
+        ),
+        InteractionPoint(1, ("h",), (False,), {}),
+    )
+    inst = MccSspInstance({"a": a, "h": h}, points, 2, {"j": 0.3})
+    assert build_path_model(inst) is None
+    result, _ = _certified(inst)
+    assert (result.status, result.decided_by) == ("optimal", "mip")
+    assert result.objective == pytest.approx(0.5)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from mccssp.ilp import solve_instance
+from mccssp import intersection
+from mccssp.ilp import DEFAULT_MIP_REL_GAP, build_ilp, solve, solve_instance
 from mccssp.intersection import (
     ScenarioConfig,
     VehicleState,
@@ -306,3 +307,34 @@ def test_simulate_rejects_unknown_planner_and_empty_duration(small_scenario):
         simulate(scenario, "bogus", duration_s=6, seed=1)
     with pytest.raises(ValueError, match="duration_s must be positive"):
         simulate(small_scenario, "fcfs", duration_s=0)
+
+
+# at h=2 the occupancy MIP takes up to 4 s on a step with full queues
+@pytest.mark.parametrize("horizon, duration", [(1, 20), (2, 10)])
+def test_simulated_steps_solve_alike_by_paths_and_occupancy(
+    small_scenario, monkeypatch, horizon, duration
+):
+    instances = []
+
+    def recording_solve(instance, *args, **kwargs):
+        instances.append(instance)
+        return solve_instance(instance, *args, **kwargs)
+
+    monkeypatch.setattr(intersection, "solve_instance", recording_solve)
+    # the shared scenario fixture gets its HV share back after the test
+    monkeypatch.setattr(small_scenario.config, "hv_fraction", small_scenario.config.hv_fraction)
+    for hv in (0.0, 0.3):
+        small_scenario.config.hv_fraction = hv
+        for delta in (0.01, 0.1):
+            simulate(small_scenario, "mccssp", duration, seed=3, horizon=horizon, delta=delta)
+    assert len(instances) >= 3 * duration
+    worst = 0.0
+    for instance in instances:
+        layers = reachable_layers(instance)
+        by_paths = solve_instance(instance, layers)
+        by_occupancy = solve(build_ilp(instance, layers))
+        assert by_paths.decided_by == "paths"
+        assert by_paths.status == by_occupancy.status == "optimal"
+        gap = abs(by_paths.objective - by_occupancy.objective)
+        worst = max(worst, gap / max(1.0, abs(by_occupancy.objective)))
+    assert worst <= DEFAULT_MIP_REL_GAP
