@@ -62,6 +62,14 @@ def _parse_probabilities(text: str, option: str) -> list:
     return values
 
 
+def _require_positive(args, *names) -> None:
+    """Reject integer options below 1, which would run nothing."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise InputError(f"--{name} must be at least 1, got {value}")
+
+
 def cmd_solve(args) -> int:
     from .ilp import SolverFailure, solve_instance
     from .io import load_instance
@@ -203,6 +211,7 @@ def cmd_intersect_sim(args) -> int:
     hv_fractions = _parse_probabilities(args.hv_fractions, "--hv-fractions")
     if not args.duration > 0:
         raise InputError(f"--duration must be positive, got {args.duration}")
+    _require_positive(args, "replications", "jobs")
     overrides = {}
     if args.scenario:
         try:
@@ -321,6 +330,7 @@ def cmd_pft(args) -> int:
 def cmd_selftest(args) -> int:
     from . import selftest
 
+    _require_positive(args, "instances")
     # progress lines are logged at INFO; show them unless --quiet
     logger = logging.getLogger(selftest.__name__)
     handler, level = logging.StreamHandler(sys.stdout), logger.level

@@ -19,6 +19,13 @@ granted and is sampled during simulation, not constrained again).
 Together these make the all-wait plan feasible at any budget, which the
 receding-horizon loop relies on.
 
+A pair point is emitted only for a pair that can collide within the
+horizon: its risk must be positive at some pair of own states the two
+vehicles can occupy at the same step k <= h.  Those pairs cover every
+joint state the point could reach, so a dropped point has zero risk
+under every policy; it owns no utility and would only add consistency
+rows that every plan satisfies, so dropping it changes no optimum.
+
 Vehicle model: a vehicle waits, or enters a variant and runs its tube one
 planning interval per state until it is past the tube.  Each built
 instance is a snapshot: candidate variants and human intent weights are
@@ -344,8 +351,12 @@ def _hv_candidate_weights(scenario: Scenario, vehicle: VehicleState) -> dict:
 
 @dataclass
 class BuildInfo:
-    vehicle_meta: dict
-    singleton_ids: dict
+    """Per-vehicle records of a build.  ``pair_ids`` maps a vehicle-id
+    pair to its point, and holds only pairs that can collide within the
+    horizon."""
+
+    vehicle_meta: dict  # vehicle, candidates, intent weights, state profiles
+    singleton_ids: dict  # vehicle -> its own point, which owns its utility
     pair_ids: dict
     arrival_order: list
 
@@ -366,7 +377,17 @@ def build_intersection_instance(
     on red).  Every vehicle's candidate variants and every HV's intent
     weights are fixed here and stored in its meta, so the instance reads
     only build-time data: changing a ``VehicleState`` afterwards does not
-    change it.  Returns (instance, BuildInfo).
+    change it.
+
+    A pair of vehicles with a controllable member gets a pair point only
+    when it can collide within the horizon (see ``_can_collide``): the
+    pair's risk is positive at some pair of own states the two can occupy
+    at the same step k <= h.  Every joint state the point could reach is
+    such a pair, so a dropped point has zero risk under any policy and
+    owns no utility; the optimum and the fcfs plan do not change.  A step
+    whose pairs all drop, for instance with only parked vehicles beside
+    the queued AVs, leaves agent-disjoint singletons, which the DP
+    certificate decides.  Returns (instance, BuildInfo).
     """
     cfg = scenario.config
     horizon = cfg.horizon if horizon is None else horizon
@@ -445,9 +466,11 @@ def build_intersection_instance(
             utility[(("done",), a)] = 0.0
 
         states = set()
+        successors = {}
         for (s, _a), row in transition.items():
             states.add(s)
             states.update(row)
+            successors.setdefault(s, set()).update(row)
         agents[v.id] = AgentMdp(
             states=states,
             actions=actions,
@@ -456,10 +479,23 @@ def build_intersection_instance(
             initial_state=initial,
             wait_action="wait" if "wait" in actions else None,
         )
-        meta[v.id] = {"vehicle": v, "candidates": candidates, "weights": weights}
+        # one forward pass over the own transitions: the own states at each
+        # step 0..horizon, and the motion profile of each
+        reach = [{initial}]
+        for _ in range(horizon):
+            reach.append({t for s in reach[-1] for t in successors[s]})
+        profiles = {s: _state_profiles(scenario, weights, s) for layer in reach for s in layer}
+        meta[v.id] = {
+            "vehicle": v,
+            "candidates": candidates,
+            "weights": weights,
+            "profiles": profiles,
+            "moving": [[s for s in layer if profiles[s]] for layer in reach],
+        }
 
     # interaction points: one singleton per vehicle (owns its utility), one
-    # pair point per conflicting pair with a controllable member
+    # pair point per pair with a controllable member that can collide
+    # within the horizon
     points = []
     ids = sorted(agents)
     singleton_ids = {}
@@ -489,6 +525,8 @@ def build_intersection_instance(
         if all(table is None for table in tables):
             continue
         risk_fn = _make_pair_risk(scenario, meta[ua], meta[ub])
+        if not _can_collide(risk_fn, meta[ua]["moving"], meta[ub]["moving"]):
+            continue
         points.append(
             InteractionPoint(
                 id=next_id,
@@ -535,10 +573,10 @@ def _table_axis(scenario: Scenario, variant: tuple, progression: int) -> int | N
     return axis if axis <= len(scenario.tube(variant)) else None
 
 
-def _state_profiles(scenario: Scenario, meta_v: dict, state) -> list:
+def _state_profiles(scenario: Scenario, weights: dict | None, state) -> tuple:
     """(variant, axis, weight) mixture describing a vehicle state's motion
     over its remaining action window; an unresolved HV mixes its intent
-    weights, fixed at build time.
+    ``weights``, fixed at build time.
 
     Waiting vehicles are parked at their stop anchor, which the layout
     keeps out of every conflict zone, so they carry no risk; this is what
@@ -546,27 +584,47 @@ def _state_profiles(scenario: Scenario, meta_v: dict, state) -> list:
     if state[0] == "run":
         mixture, p = {state[1]: 1.0}, state[2]
     elif state[0] == "hv":
-        mixture, p = meta_v["weights"], state[1]
+        mixture, p = weights, state[1]
     else:  # waiting or done
-        return []
+        return ()
     out = []
     for var, q in mixture.items():
         axis = _table_axis(scenario, var, p)
         if axis is not None:
             out.append((var, axis, q))
-    return out
+    return tuple(out)
 
 
 def _make_pair_risk(scenario: Scenario, meta_a: dict, meta_b: dict):
+    """Collision risk of a joint state, read off the two vehicles' state
+    profiles cached in their build-time meta; those cover the own states
+    reachable within the horizon, which are all the layers visit."""
+    profiles_a, profiles_b = meta_a["profiles"], meta_b["profiles"]
+
     def risk(joint_state):
         sa, sb = joint_state
         total = 0.0
-        for va, xa, wa in _state_profiles(scenario, meta_a, sa):
-            for vb, xb, wb in _state_profiles(scenario, meta_b, sb):
+        for va, xa, wa in profiles_a[sa]:
+            for vb, xb, wb in profiles_b[sb]:
                 total += wa * wb * scenario.pair_lookup(va, xa, vb, xb)
         return min(max(total, 0.0), 1.0)
 
     return risk
+
+
+def _can_collide(risk, moving_a: list, moving_b: list) -> bool:
+    """Whether ``risk`` is positive at some pair of own states the two
+    vehicles can occupy at the same step.  ``moving_*[k]`` lists a
+    vehicle's own states at step k that carry a motion profile; the others
+    carry no risk, and the product of the own states at each step covers
+    every joint state a pair point can reach, so a pair that fails this
+    test has zero risk under every policy."""
+    return any(
+        risk((sa, sb)) > 0.0
+        for layer_a, layer_b in zip(moving_a, moving_b)
+        for sa in layer_a
+        for sb in layer_b
+    )
 
 
 # ---------------------------------------------------------------------------

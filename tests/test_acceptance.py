@@ -300,8 +300,9 @@ def test_planning_time_envelope_16_avs():
     report_lines = []
     h1_times = []
     verdicts = {}
+    objectives = {}
     for h in (1, 2, 3, 4):
-        inst, _ = build_intersection_instance(
+        inst, info = build_intersection_instance(
             scenario, vehicles, green_side="N", horizon=h, delta=0.05
         )
         layers = reachable_layers(inst)
@@ -333,9 +334,10 @@ def test_planning_time_envelope_16_avs():
                 r = solve_instance(inst, layers)
                 h1_times.append(r.build_seconds + r.solve_seconds)
         verdicts[h] = (status, result.decided_by)
+        objectives[h] = result.objective
         report_lines.append(
-            f"  h={h}: preprocess {preprocess:.3f}s solve {solve_s:.3f}s "
-            f"({status}, decided_by {result.decided_by}, objective "
+            f"  h={h}: {len(info.pair_ids)} pair points, preprocess {preprocess:.3f}s "
+            f"solve {solve_s:.3f}s ({status}, decided_by {result.decided_by}, objective "
             f"{result.objective:.1f}){note}"
         )
 
@@ -345,6 +347,9 @@ def test_planning_time_envelope_16_avs():
     # decides each cell, within the 20 s limit
     for h in (2, 3, 4):
         assert verdicts[h] == ("optimal", "paths"), "\n".join(report_lines)
+    # the optima, within the solve's relative gap of 1e-4
+    for h, optimum in {1: 60.9112, 2: 93.1364, 3: 105.1203, 4: 140.4470}.items():
+        assert objectives[h] == pytest.approx(optimum, rel=1e-4), "\n".join(report_lines)
     print(
         "PASS planning-time envelope (hard bound h=1): "
         f"mean h=1 plan {mean_h1:.3f}s < 1s; report for 16 AVs, 2 actions:\n"

@@ -193,6 +193,17 @@ def test_selftest_shows_progress_unless_quiet(monkeypatch, capsys):
     assert "checked" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_selftest_without_instances_is_input_error(count, monkeypatch, capsys):
+    import mccssp.selftest
+
+    monkeypatch.setattr(
+        mccssp.selftest, "run_oracle_equivalence", lambda *a, **k: pytest.fail("a check ran")
+    )
+    assert main(["selftest", "--instances", count, "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: --instances must be at least 1, got {count}\n"
+
+
 def test_solve_oracle_objective_mismatch_is_solver_failure(instance_file, monkeypatch, capsys):
     import mccssp.oracles
 
@@ -216,6 +227,9 @@ def test_solve_oracle_objective_mismatch_is_solver_failure(instance_file, monkey
         ["--horizons", "2..1"],
         ["--hv-fractions", "-0.1"],
         ["--duration", "0"],
+        ["--replications", "0"],
+        ["--replications", "-2"],
+        ["--jobs", "0"],
     ],
 )
 def test_intersect_sim_bad_arguments_are_input_errors(argv, monkeypatch, capsys):
@@ -223,7 +237,7 @@ def test_intersect_sim_bad_arguments_are_input_errors(argv, monkeypatch, capsys)
 
     # checked before any job runs, so no scenario or table is built
     monkeypatch.setattr(mccssp.cli, "_sim_cell", lambda job: pytest.fail("a job ran"))
-    assert main(["intersect-sim", *argv, "--replications", "1"]) == 1
+    assert main(["intersect-sim", "--replications", "1", *argv]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -64,6 +64,10 @@ def test_instance_is_valid_and_covered(small_scenario):
     )
     assert validate_instance(inst) == []
     assert set(info.singleton_ids) == {v.id for v in vehicles}
+    # N0 crosses both others; E0 and W1 share the box as well
+    assert set(info.pair_ids) == {
+        ("v00000", "v00001"), ("v00000", "v00002"), ("v00001", "v00002"),
+    }
 
 
 def test_exactly_one_of_colocated_pair_goes(small_scenario):
@@ -71,6 +75,7 @@ def test_exactly_one_of_colocated_pair_goes(small_scenario):
     inst, info = build_intersection_instance(
         small_scenario, vehicles, green_side="N", horizon=1, delta=0.05
     )
+    assert list(info.pair_ids) == [("v00000", "v00001")]
     result = solve_instance(inst)
     actions = {
         vid: result.policy.action(pid, (inst.agents[vid].initial_state,), 0)[0]
@@ -338,3 +343,141 @@ def test_simulated_steps_solve_alike_by_paths_and_occupancy(
         gap = abs(by_paths.objective - by_occupancy.objective)
         worst = max(worst, gap / max(1.0, abs(by_occupancy.objective)))
     assert worst <= DEFAULT_MIP_REL_GAP
+
+
+def _rule_off(monkeypatch):
+    """Emit a pair point for every conflicting pair with a controllable
+    member, as if every such pair could collide within the horizon."""
+    monkeypatch.setattr(intersection, "_can_collide", lambda *args: True)
+
+
+def test_parked_hv_on_red_gets_no_pair_point(small_scenario, monkeypatch):
+    # the queued AV crosses the HV's lane, but an HV waiting on red is
+    # parked at its stop anchor and carries no risk at any step
+    av = VehicleState(id="v00000", kind="av", lane="E0", slot=0)
+    hv = VehicleState(id="v00001", kind="hv", lane="N0", slot=0, true_kind="straight")
+    for horizon in (1, 2, 3):
+        inst, info = build_intersection_instance(
+            small_scenario, [av, hv], green_side="E", horizon=horizon, delta=0.05
+        )
+        assert info.pair_ids == {}
+        # no agent is shared, so the DP certificate decides: the AV goes
+        result = solve_instance(inst)
+        assert (result.status, result.decided_by) == ("optimal", "dp")
+        assert result.policy.action(info.singleton_ids["v00000"], (("wait", 0),), 0) == ("go_s0",)
+        # the same HV on green may enter, so the pair keeps its point
+        _, info = build_intersection_instance(
+            small_scenario, [av, hv], green_side="N", horizon=horizon, delta=0.05
+        )
+        assert list(info.pair_ids) == [("v00000", "v00001")]
+    _rule_off(monkeypatch)
+    _, info = build_intersection_instance(
+        small_scenario, [av, hv], green_side="E", horizon=1, delta=0.05
+    )
+    assert list(info.pair_ids) == [("v00000", "v00001")]
+
+
+def test_pair_point_needs_both_vehicles_moving_at_one_step(small_scenario, monkeypatch):
+    # a committed AV that leaves its tube within the first interval can
+    # never overlap in time with a queued AV's motion, which starts at k=1
+    e0 = small_scenario.variant_key("E0", 0, "straight", "s0")
+    tube_len = len(small_scenario.tube(e0))
+    steps = small_scenario.steps_per_plan
+    leaving = VehicleState(
+        id="v00000", kind="av", lane="E0", slot=0, phase="running", variant=e0,
+        progression=tube_len - steps,
+    )
+    queued = VehicleState(id="v00001", kind="av", lane="N0", slot=0)
+    _, info = build_intersection_instance(
+        small_scenario, [leaving, queued], green_side="N", horizon=2, delta=0.05
+    )
+    assert info.pair_ids == {}
+    _rule_off(monkeypatch)
+    _, info = build_intersection_instance(
+        small_scenario, [leaving, queued], green_side="N", horizon=2, delta=0.05
+    )
+    assert list(info.pair_ids) == [("v00000", "v00001")]
+
+
+def _own_actions(info, policy):
+    """Each vehicle's own action per (own state, step), read off its
+    singleton point."""
+    return {
+        vid: {(s[0], k): a[0] for (s, k), a in policy.assignments[pid].items()}
+        for vid, pid in info.singleton_ids.items()
+    }
+
+
+def _policy_from_own_actions(layers, own):
+    """The joint policy that plays every vehicle's own action at every
+    point: consistent by construction, so it executes one plan."""
+    from mccssp.risk import Policy
+
+    return Policy({
+        li.id: {
+            (s, k): tuple(own[v][(part, k)] for v, part in zip(li.view.members, s))
+            for k, s in li.decision_points()
+        }
+        for li in layers
+    })
+
+
+@pytest.mark.parametrize("horizon, duration", [(1, 20), (2, 10)])
+def test_pruned_instances_plan_like_full_ones(small_scenario, monkeypatch, horizon, duration):
+    import copy
+
+    from mccssp.oracles import fcfs_plan
+    from mccssp.risk import execution_risk
+
+    snapshots = []
+    build = intersection.build_intersection_instance
+
+    def recording_build(scenario, vehicles, **kwargs):
+        snapshots.append((copy.deepcopy(vehicles), kwargs))
+        return build(scenario, vehicles, **kwargs)
+
+    monkeypatch.setattr(intersection, "build_intersection_instance", recording_build)
+    # the shared scenario fixture gets its HV share back after the test
+    monkeypatch.setattr(small_scenario.config, "hv_fraction", small_scenario.config.hv_fraction)
+    for hv in (0.0, 0.3):
+        small_scenario.config.hv_fraction = hv
+        for delta in (0.01, 0.1):
+            simulate(small_scenario, "mccssp", duration, seed=3, horizon=horizon, delta=delta)
+    monkeypatch.setattr(intersection, "build_intersection_instance", build)
+    assert len(snapshots) >= 3 * duration
+
+    pruned = [build(small_scenario, vs, **kwargs) for vs, kwargs in snapshots]
+    _rule_off(monkeypatch)
+    full = [build(small_scenario, vs, **kwargs) for vs, kwargs in snapshots]
+
+    dropped = without_pairs = 0
+    for (p_inst, p_info), (f_inst, f_info) in zip(pruned, full):
+        assert set(p_info.pair_ids) <= set(f_info.pair_ids)
+        assert p_info.singleton_ids == f_info.singleton_ids
+        dropped += len(f_info.pair_ids) - len(p_info.pair_ids)
+        without_pairs += not p_info.pair_ids
+        p_layers, f_layers = reachable_layers(p_inst), reachable_layers(f_inst)
+        p_result = solve_instance(p_inst, p_layers)
+        f_result = solve_instance(f_inst, f_layers)
+        assert p_result.status == f_result.status == "optimal"
+        gap = abs(p_result.objective - f_result.objective)
+        assert gap <= DEFAULT_MIP_REL_GAP * max(1.0, abs(f_result.objective))
+        # the pruned plan, played at every point of the full instance,
+        # risks exactly as much: each dropped point adds zero
+        own = _own_actions(p_info, p_result.policy)
+        p_risk = execution_risk(p_inst, p_layers, p_result.policy, "collision")
+        f_risk = execution_risk(
+            f_inst, f_layers, _policy_from_own_actions(f_layers, own), "collision"
+        )
+        assert f_risk == p_risk
+        # first come, first served grants the same actions either way
+        p_fcfs = fcfs_plan(p_inst, p_info.arrival_order, p_inst.risk_budgets["collision"], p_layers)
+        f_fcfs = fcfs_plan(f_inst, f_info.arrival_order, f_inst.risk_budgets["collision"], f_layers)
+        for vid, pid in p_info.singleton_ids.items():
+            initial = (p_inst.agents[vid].initial_state,)
+            assert p_fcfs.action(pid, initial, 0) == f_fcfs.action(pid, initial, 0)
+    assert dropped > 0
+    print(
+        f"h={horizon}: {len(snapshots)} steps, {dropped} pair points dropped, "
+        f"{without_pairs} steps without any"
+    )
