@@ -21,7 +21,6 @@ from .model import (
     LayeredSpace,
     MccSspInstance,
     StateRisk,
-    interaction_product,
     reachable_layers,
     state_risk_tilde,
     validate_instance,
@@ -45,7 +44,6 @@ from .risk import (
     expected_utility,
     linear_risk_from_flows,
     policy_flows,
-    transition_tilde,
 )
 
 __all__ = [
@@ -74,7 +72,6 @@ __all__ = [
     "expected_utility",
     "fcfs_plan",
     "intent_posterior",
-    "interaction_product",
     "linear_risk_from_flows",
     "pairwise_risk",
     "pft_fit",
@@ -84,6 +81,5 @@ __all__ = [
     "solve",
     "solve_instance",
     "state_risk_tilde",
-    "transition_tilde",
     "validate_instance",
 ]

@@ -62,12 +62,13 @@ def _parse_probabilities(text: str, option: str) -> list:
     return values
 
 
-def _require_positive(args, *names) -> None:
-    """Reject integer options below 1, which would run nothing."""
+def _require_at_least(low: int, args, *names) -> None:
+    """Reject integer options below ``low``: counts below 1 would run
+    nothing, and seeds below 0 are no random seed."""
     for name in names:
         value = getattr(args, name)
-        if value < 1:
-            raise InputError(f"--{name} must be at least 1, got {value}")
+        if value < low:
+            raise InputError(f"--{name} must be at least {low}, got {value}")
 
 
 def cmd_solve(args) -> int:
@@ -85,7 +86,7 @@ def cmd_solve(args) -> int:
         for line in report:
             print(f"invalid: {line}", file=sys.stderr)
         return 1
-    layers = reachable_layers(instance, validate=False)
+    layers = reachable_layers(instance)
     if args.export_lp:
         from .ilp import BudgetExhausted, build_ilp
 
@@ -211,7 +212,8 @@ def cmd_intersect_sim(args) -> int:
     hv_fractions = _parse_probabilities(args.hv_fractions, "--hv-fractions")
     if not args.duration > 0:
         raise InputError(f"--duration must be positive, got {args.duration}")
-    _require_positive(args, "replications", "jobs")
+    _require_at_least(1, args, "replications", "jobs")
+    _require_at_least(0, args, "seed")
     overrides = {}
     if args.scenario:
         try:
@@ -330,7 +332,8 @@ def cmd_pft(args) -> int:
 def cmd_selftest(args) -> int:
     from . import selftest
 
-    _require_positive(args, "instances")
+    _require_at_least(1, args, "instances")
+    _require_at_least(0, args, "seed")
     # progress lines are logged at INFO; show them unless --quiet
     logger = logging.getLogger(selftest.__name__)
     handler, level = logging.StreamHandler(sys.stdout), logger.level

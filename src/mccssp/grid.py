@@ -90,6 +90,11 @@ class GridSpec:
     start_positions: list | None = field(default=None)
 
     def validate(self) -> None:
+        for name in ("width", "height"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed!r}")
         for name in ("success_prob", "risky_fraction", "risky_risk_value",
                      "low_utility_fraction", "risk_budget"):
             value = getattr(self, name)

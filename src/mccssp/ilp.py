@@ -38,7 +38,7 @@ from scipy import sparse
 
 from .model import AgentMdp, LayeredSpace, MccSspInstance, reachable_layers, skey
 from .oracles import backward_dp
-from .risk import Policy, evaluate_table, execution_risk, expected_utility, policy_flows
+from .risk import Policy, evaluate_table, execution_risk, expected_utility
 
 DEFAULT_MIP_REL_GAP = 1e-6
 RISK_VERIFY_SLACK = 1e-6
@@ -154,7 +154,6 @@ class IlpModel:
     x_count: int
     z_count: int
     matrix: MatrixForm
-    delta_tilde: dict
 
 
 @dataclass
@@ -164,7 +163,10 @@ class SolveResult:
     ``decided_by`` names what settled it: "dp" (the backward-DP
     certificate), "paths" (HiGHS on the path formulation), "mip" (HiGHS
     on the occupancy formulation) or "fallback" (the default-action policy
-    after a time-out without incumbent); None when no solve ran."""
+    after a time-out without incumbent); None when no solve ran.
+    ``flows`` holds the occupancy MIP's own flows, per flow index (None
+    for utility, then each criterion) as {(i, k, state, action): value};
+    it is empty for every other verdict."""
 
     status: str
     objective: float = float("nan")
@@ -205,7 +207,7 @@ def _occupancy_layout(layers: LayeredSpace) -> tuple:
         first[i] = list(accumulate(map(len, decision_layers), initial=0))
         for k, layer in enumerate(decision_layers):
             for n, s in enumerate(layer, start=first[i][k]):
-                for pos, v in enumerate(layers_i.view.members):
+                for pos, v in enumerate(layers_i.members):
                     slots.setdefault((v, s[pos], k), []).append((i, pos, n))
     # entries come in interaction order
     shared = {
@@ -367,7 +369,7 @@ def build_ilp(instance: MccSspInstance, layers: LayeredSpace | None = None) -> I
         col_blocks=tuple(col_blocks),
         row_blocks=tuple(row_blocks),
     )
-    return IlpModel(instance, layers, criteria, x_start, x_count, z_count, matrix, delta_tilde)
+    return IlpModel(instance, layers, criteria, x_start, x_count, z_count, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +437,7 @@ def _open_loop_steps(instance: MccSspInstance, layers_i, chosen: dict) -> list:
     horizon = len(layers_i.layers) - 1
     return list(zip(*(
         chosen[v][1] if v in chosen else instance.agents[v].actions[:1] * horizon
-        for v in layers_i.view.members
+        for v in layers_i.members
     )))
 
 
@@ -476,7 +478,7 @@ def build_path_model(
         paths[v] = _agent_paths(agent, instance.horizon, limit)
         if paths[v] is None:
             return None
-    groups = [[v for v in layers_i.view.members if v in paths] for layers_i in layers]
+    groups = [[v for v in layers_i.members if v in paths] for layers_i in layers]
     n_b = sum(map(len, paths.values()))
     n_w = sum(math.prod(len(paths[v]) for v in group) for group in groups if len(group) > 1)
     if n_b + n_w > limit:
@@ -561,12 +563,7 @@ class ScipyHighsBackend:
     branch-and-bound root, and on time-limited occupancy solves it found
     no incumbent that HiGHS missed without it."""
 
-    def solve(
-        self,
-        matrix: MatrixForm,
-        time_limit: float | None = None,
-        mip_rel_gap: float | None = None,
-    ):
+    def solve(self, matrix: MatrixForm, time_limit: float | None = None):
         """Returns (status, x, objective), status one of optimal, infeasible
         or time_limit (x is the incumbent, or None when there is none);
         anything else is a failure.  A model without columns is feasible
@@ -583,7 +580,7 @@ class ScipyHighsBackend:
                 scipy.optimize.LinearConstraint(matrix.a, matrix.row_lower, matrix.row_upper)
             ]
         options = {
-            "mip_rel_gap": DEFAULT_MIP_REL_GAP if mip_rel_gap is None else mip_rel_gap,
+            "mip_rel_gap": DEFAULT_MIP_REL_GAP,
             "presolve": True,
             "mip_heuristic_run_feasibility_jump": False,
         }
@@ -637,48 +634,27 @@ def extract_policy(model: IlpModel, x: np.ndarray) -> Policy:
         best = max(row)
         assignments[i][(s, k)] = (
             layers_i.joint_actions[row.index(best)] if best > 1e-9
-            else layers_i.view.default_joint_action()
+            else layers_i.default_joint_action
         )
     return Policy(assignments)
 
 
-def solve(
-    model: IlpModel | PathModel,
-    time_limit: float | None = None,
-    mip_rel_gap: float | None = None,
-) -> SolveResult:
-    """Decide a built model and read back the policy, flows, and post-hoc
-    risk evaluation.  HiGHS decides a path model.  For an occupancy model
+def solve(model: IlpModel | PathModel, time_limit: float | None = None) -> SolveResult:
+    """Decide a built model and read back the policy and post-hoc risk
+    evaluation.  HiGHS decides a path model.  For an occupancy model
     the backward-DP certificate decides first where it applies; otherwise
     HiGHS does.  HiGHS's optimal results are verified against the budgets.
     A time-out without incumbent falls back to the default-action policy
     when that fits every budget."""
     start = time.perf_counter()
     if isinstance(model, PathModel):
-        result = _solve_paths(model, time_limit, mip_rel_gap)
+        result = _solve_paths(model, time_limit)
     else:
         result = _dp_certificate(model)
         if result is None:
-            result = _solve_mip(model, time_limit, mip_rel_gap)
+            result = _solve_mip(model, time_limit)
     result.solve_seconds = time.perf_counter() - start
     return result
-
-
-def _policy_result(model, status, decided_by, policy, objective, risks) -> SolveResult:
-    """A result for a policy not read off MIP flows; its flows are the
-    policy's occupancies, so the linear risk form can be checked on it."""
-    flows = {
-        j: policy_flows(model.instance, model.layers, policy, j)
-        for j in (None,) + model.criteria
-    }
-    return SolveResult(
-        status=status,
-        objective=objective,
-        policy=policy,
-        flows=flows,
-        risks=risks,
-        decided_by=decided_by,
-    )
 
 
 def _dp_certificate(model: IlpModel) -> SolveResult | None:
@@ -714,11 +690,17 @@ def _dp_certificate(model: IlpModel) -> SolveResult | None:
     if any(r > budgets[j] for j, r in zip(criteria, risks)):
         return None
     policy = Policy({i: dp.table for i, dp in passes.items()})
-    return _policy_result(model, "optimal", "dp", policy, utility, dict(zip(criteria, risks)))
+    return SolveResult(
+        status="optimal",
+        objective=utility,
+        policy=policy,
+        risks=dict(zip(criteria, risks)),
+        decided_by="dp",
+    )
 
 
-def _solve_mip(model: IlpModel, time_limit, mip_rel_gap) -> SolveResult:
-    status, x, objective = ScipyHighsBackend().solve(model.matrix, time_limit, mip_rel_gap)
+def _solve_mip(model: IlpModel, time_limit) -> SolveResult:
+    status, x, objective = ScipyHighsBackend().solve(model.matrix, time_limit)
     if status == "infeasible":
         return SolveResult(status="infeasible", decided_by="mip")
     if x is None:
@@ -761,11 +743,11 @@ def _verified_risks(model, policy: Policy, status: str) -> dict:
     return risks
 
 
-def _solve_paths(model: PathModel, time_limit, mip_rel_gap) -> SolveResult:
+def _solve_paths(model: PathModel, time_limit) -> SolveResult:
     """HiGHS picks one path per decision agent; the policy follows the
     chosen paths at every interaction, and its objective is the sum of the
     chosen combinations' utilities."""
-    status, x, _ = ScipyHighsBackend().solve(model.matrix, time_limit, mip_rel_gap)
+    status, x, _ = ScipyHighsBackend().solve(model.matrix, time_limit)
     if status == "infeasible":
         return SolveResult(status="infeasible", decided_by="paths")
     if x is None:
@@ -784,7 +766,9 @@ def _solve_paths(model: PathModel, time_limit, mip_rel_gap) -> SolveResult:
         assignments[layers_i.id] = {(s, k): steps[k] for k, s in layers_i.decision_points()}
     policy = Policy(assignments)
     risks = _verified_risks(model, policy, status)
-    return _policy_result(model, status, "paths", policy, utility, risks)
+    return SolveResult(
+        status=status, objective=utility, policy=policy, risks=risks, decided_by="paths"
+    )
 
 
 def _default_action_fallback(model: IlpModel | PathModel) -> SolveResult:
@@ -795,7 +779,7 @@ def _default_action_fallback(model: IlpModel | PathModel) -> SolveResult:
     policy = Policy(
         {
             layers_i.id: {
-                (s, k): layers_i.view.default_joint_action()
+                (s, k): layers_i.default_joint_action
                 for k, s in layers_i.decision_points()
             }
             for layers_i in layers
@@ -809,14 +793,15 @@ def _default_action_fallback(model: IlpModel | PathModel) -> SolveResult:
             f"default-action policy exceeds budgets: {over}"
         )
     utility = expected_utility(instance, layers, policy)
-    return _policy_result(model, "time_limit", "fallback", policy, utility, risks)
+    return SolveResult(
+        status="time_limit", objective=utility, policy=policy, risks=risks, decided_by="fallback"
+    )
 
 
 def solve_instance(
     instance: MccSspInstance,
     layers: LayeredSpace | None = None,
     time_limit: float | None = None,
-    mip_rel_gap: float | None = None,
 ) -> SolveResult:
     """Validate, layer, build, and solve; maps BudgetExhausted to a status.
     The path model is built where it applies, the occupancy model
@@ -834,6 +819,6 @@ def solve_instance(
             build_seconds=time.perf_counter() - build_start,
         )
     build_elapsed = time.perf_counter() - build_start
-    result = solve(model, time_limit=time_limit, mip_rel_gap=mip_rel_gap)
+    result = solve(model, time_limit=time_limit)
     result.build_seconds = build_elapsed
     return result

@@ -62,6 +62,8 @@ from .pft import (
 )
 
 SIDES = ("N", "E", "S", "W")
+# per side an outer lane 0 (straight) and an inner lane 1 (left turn)
+LANE_IDS = tuple(f"{side}{index}" for side in SIDES for index in (0, 1))
 KINDS = ("straight", "left")
 PLANNERS = ("mccssp", "fcfs")
 
@@ -127,20 +129,41 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Raise ValueError on the first value a run cannot use, of a wrong
         type or out of range."""
-        for name in ("mc_samples", "queue_depth", "horizon"):
+        for name, low in (("mc_samples", 1), ("queue_depth", 1), ("horizon", 1), ("mc_seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("dt", "hz", "w_max", "signal_cycle_s"):
+            if not _is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("dt", "hz", "w_max", "signal_cycle_s", "box_half",
+                     "vehicle_length", "vehicle_width"):
             value = getattr(self, name)
             if not _finite_number(value) or value <= 0:
                 raise ValueError(f"{name} must be a positive number, got {value!r}")
         if round(self.dt * self.hz) < 1:
             raise ValueError(f"dt * hz must be at least one tube sample, got {self.dt * self.hz!r}")
-        for name in ("delta", "hv_fraction", "hv_commit_fraction", "deviation_rate"):
+        for name in ("lane_offset_inner", "lane_offset_outer", "stop_gap", "exit_margin",
+                     "headway", "conflict_reach", "arrival_rate", "noise_sd", "priority"):
+            value = getattr(self, name)
+            if not _finite_number(value) or value < 0:
+                raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+        for name in ("delta", "hv_fraction", "hv_commit_fraction", "deviation_rate",
+                     "hv_yield_threshold", "conflict_risk_floor"):
             value = getattr(self, name)
             if not _finite_number(value) or not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        if self.time_limit is not None and not (
+            _finite_number(self.time_limit) and self.time_limit > 0
+        ):
+            raise ValueError(
+                f"time_limit must be null or a positive number, got {self.time_limit!r}"
+            )
+        if not isinstance(self.hv_true_random, bool):
+            raise ValueError(f"hv_true_random must be true or false, got {self.hv_true_random!r}")
+        # utilities must stay >= 0, so the weights may not be negative
+        if not (
+            isinstance(self.lambdas, (list, tuple)) and len(self.lambdas) == 4
+            and all(_finite_number(v) and v >= 0 for v in self.lambdas)
+        ):
+            raise ValueError(f"lambdas must be four numbers >= 0, got {self.lambdas!r}")
         if not isinstance(self.speeds, dict) or not self.speeds or not all(
             _finite_number(v) and v > 0 for v in self.speeds.values()
         ):
@@ -151,6 +174,31 @@ class ScenarioConfig:
             raise ValueError(
                 f"hv_speed {self.hv_speed!r} is not one of speeds {sorted(self.speeds)}"
             )
+        if self.enabled_lanes is not None and not (
+            isinstance(self.enabled_lanes, (list, tuple)) and self.enabled_lanes
+            and all(lane in LANE_IDS for lane in self.enabled_lanes)
+        ):
+            raise ValueError(
+                f"enabled_lanes must be null or a non-empty list of lane ids {LANE_IDS},"
+                f" got {self.enabled_lanes!r}"
+            )
+        for name, ok, what in (
+            ("lane_speed_scale", lambda v: _finite_number(v) and v > 0, "positive numbers"),
+            ("lane_arrival", lambda v: v == "always" or (_finite_number(v) and v >= 0),
+             'numbers >= 0 or "always"'),
+            ("lane_max_spawns", lambda v: _is_int(v) and v >= 0, "integers >= 0"),
+        ):
+            table = getattr(self, name)
+            if not isinstance(table, dict) or not all(
+                lane in LANE_IDS and ok(v) for lane, v in table.items()
+            ):
+                raise ValueError(
+                    f"{name} must be a map of lane ids {LANE_IDS} to {what}, got {table!r}"
+                )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite_number(value) -> bool:
@@ -367,7 +415,6 @@ def build_intersection_instance(
     green_side: str | None = None,
     horizon: int | None = None,
     delta: float | None = None,
-    lambdas: tuple | None = None,
 ) -> tuple:
     """Snapshot -> solver instance.
 
@@ -392,7 +439,6 @@ def build_intersection_instance(
     cfg = scenario.config
     horizon = cfg.horizon if horizon is None else horizon
     delta = cfg.delta if delta is None else delta
-    lambdas = cfg.lambdas if lambdas is None else lambdas
     steps = scenario.steps_per_plan
 
     active = [v for v in vehicles if v.phase != "done"]
@@ -426,7 +472,7 @@ def build_intersection_instance(
                 for a, var in go.items():
                     transition[(("wait", m), a)] = {first[a]: 1.0}
                     utility[(("wait", m), a)] = action_utility(
-                        lambdas,
+                        cfg.lambdas,
                         scenario.velocity(v.lane, var[3]),
                         v.priority,
                         v.wait_s + m * cfg.dt,

@@ -312,76 +312,24 @@ def validate_instance(instance: MccSspInstance) -> list:
     return report
 
 
-class InteractionView:
-    """Factored joint space of one interaction point.
-
-    Joint states and actions are ordered tuples following the point's
-    ``members`` ordering; joint transition probabilities are the product of
-    member marginals, and joint utility sums only owned members.
-    """
-
-    def __init__(self, instance: MccSspInstance, point: InteractionPoint):
-        self.instance = instance
-        self.point = point
-        self.members = point.members
-        self._agents = [instance.agents[v] for v in point.members]
-        self.joint_actions = tuple(
-            itertools.product(*(m.sorted_actions() for m in self._agents))
-        )
-        self.initial_state = tuple(m.initial_state for m in self._agents)
-
-    @property
-    def id(self) -> int:
-        return self.point.id
-
-    def transition(self, joint_state: tuple, joint_action: tuple) -> dict:
-        """Joint successor distribution (product of member marginals)."""
-        rows = [
-            agent.successors(s, a)
-            for agent, s, a in zip(self._agents, joint_state, joint_action)
-        ]
-        out = {}
-        for combo in itertools.product(*(row.items() for row in rows)):
-            succ = tuple(s for s, _ in combo)
-            p = 1.0
-            for _, q in combo:
-                p *= q
-            if p > 0.0:
-                out[succ] = out.get(succ, 0.0) + p
-        return out
-
-    def utility(self, joint_state: tuple, joint_action: tuple) -> float:
-        total = 0.0
-        for agent, owns, s, a in zip(
-            self._agents, self.point.utility_owners, joint_state, joint_action
-        ):
-            if owns:
-                total += agent.reward(s, a)
-        return total
-
-    def state_risk(self, criterion: Criterion, joint_state: tuple) -> float:
-        return self.point.state_risk(criterion, joint_state)
-
-    def default_joint_action(self) -> tuple:
-        return tuple(agent.default_action() for agent in self._agents)
-
-
-def interaction_product(instance: MccSspInstance, interaction_id: int) -> InteractionView:
-    """Factored space view of one interaction point."""
-    return InteractionView(instance, instance.interaction(interaction_id))
-
-
 @dataclass(frozen=True)
 class InteractionLayers:
-    """Reachable joint states of one interaction, layer by layer.
+    """One interaction point's joint space over its reachable layers.
 
-    ``layers[k]`` is the sorted tuple of states reachable at time k;
+    Joint states and actions are tuples in the order of ``members``;
+    ``joint_actions`` is the product of the members' sorted actions and
+    ``default_joint_action`` joins their default actions.  ``layers[k]`` is
+    the sorted tuple of joint states reachable at time k;
     ``edges[(state, action)]`` is the tuple of (successor, probability)
-    pairs; ``utilities[(state, action)]`` the joint utility.  Transition
-    structure is time-invariant, so edges are keyed by state only.
+    pairs, whose probabilities are products of the member marginals, and
+    ``utilities[(state, action)]`` sums the owned members' utilities.
+    Transition structure is time-invariant, so edges are keyed by state
+    only.
     """
 
-    view: InteractionView
+    point: InteractionPoint
+    joint_actions: tuple
+    default_joint_action: tuple
     layers: tuple
     edges: Mapping
     utilities: Mapping
@@ -389,7 +337,11 @@ class InteractionLayers:
 
     @property
     def id(self) -> int:
-        return self.view.id
+        return self.point.id
+
+    @property
+    def members(self) -> tuple:
+        return self.point.members
 
     def state_risks(self, criterion: Criterion) -> dict:
         """Aggregate failure probability of every reachable state for one
@@ -397,16 +349,12 @@ class InteractionLayers:
         rt = self._state_risks.get(criterion)
         if rt is None:
             rt = {
-                s: self.view.state_risk(criterion, s)
+                s: self.point.state_risk(criterion, s)
                 for layer in self.layers
                 for s in layer
             }
             self._state_risks[criterion] = rt
         return rt
-
-    @property
-    def joint_actions(self) -> tuple:
-        return self.view.joint_actions
 
     def decision_points(self) -> list:
         """All (k, state) pairs where an action is chosen (k < horizon)."""
@@ -424,35 +372,63 @@ class LayeredSpace:
         return iter(self.per_interaction.values())
 
 
-def reachable_layers(instance: MccSspInstance, validate: bool = True) -> LayeredSpace:
-    """Breadth-first forward expansion from each interaction's joint initial
-    state for ``horizon`` steps.  Only states with strictly positive
-    reachability probability are materialized, so the output is independent
-    of the ambient state-set size.
+def _joint_successors(agents: list, joint_state: tuple, joint_action: tuple) -> dict:
+    """Joint successor distribution: the product of member marginals."""
+    rows = [
+        agent.successors(s, a)
+        for agent, s, a in zip(agents, joint_state, joint_action)
+    ]
+    out = {}
+    for combo in itertools.product(*(row.items() for row in rows)):
+        succ = tuple(s for s, _ in combo)
+        p = 1.0
+        for _, q in combo:
+            p *= q
+        if p > 0.0:
+            out[succ] = out.get(succ, 0.0) + p
+    return out
+
+
+def reachable_layers(instance: MccSspInstance) -> LayeredSpace:
+    """Validate the instance, then expand breadth-first from each
+    interaction's joint initial state for ``horizon`` steps.  Only states
+    with strictly positive reachability probability are materialized, so
+    the output is independent of the ambient state-set size.  Raises
+    InstanceError on an invalid instance.
     """
-    if validate:
-        report = validate_instance(instance)
-        if report:
-            raise InstanceError("invalid instance: " + "; ".join(report))
+    report = validate_instance(instance)
+    if report:
+        raise InstanceError("invalid instance: " + "; ".join(report))
     per_interaction = {}
     for point in instance.interactions:
-        view = InteractionView(instance, point)
-        layers = [(view.initial_state,)]
+        agents = [instance.agents[v] for v in point.members]
+        joint_actions = tuple(itertools.product(*(m.sorted_actions() for m in agents)))
+        initial = tuple(m.initial_state for m in agents)
+        layers = [(initial,)]
         edges = {}
         utilities = {}
-        frontier = [view.initial_state]
+        frontier = [initial]
         for _ in range(instance.horizon):
             nxt = set()
             for s in frontier:
-                for a in view.joint_actions:
+                for a in joint_actions:
                     if (s, a) not in edges:
-                        row = view.transition(s, a)
+                        row = _joint_successors(agents, s, a)
                         edges[(s, a)] = tuple(sorted(row.items(), key=lambda kv: skey(kv[0])))
-                        utilities[(s, a)] = view.utility(s, a)
+                        utility = 0.0
+                        for agent, owns, sv, av in zip(agents, point.utility_owners, s, a):
+                            if owns:
+                                utility += agent.reward(sv, av)
+                        utilities[(s, a)] = utility
                     nxt.update(succ for succ, _ in edges[(s, a)])
             frontier = sorted(nxt, key=skey)
             layers.append(tuple(frontier))
         per_interaction[point.id] = InteractionLayers(
-            view=view, layers=tuple(layers), edges=edges, utilities=utilities
+            point=point,
+            joint_actions=joint_actions,
+            default_joint_action=tuple(m.default_action() for m in agents),
+            layers=tuple(layers),
+            edges=edges,
+            utilities=utilities,
         )
     return LayeredSpace(horizon=instance.horizon, per_interaction=per_interaction)

@@ -121,7 +121,7 @@ def _active_slots(instance: MccSspInstance, layers: LayeredSpace) -> dict:
     """
     occupancy = {}
     for layers_i in layers:
-        members = layers_i.view.members
+        members = layers_i.members
         for k, layer in enumerate(layers_i.layers):
             for s in layer:
                 for pos, v in enumerate(members):
@@ -168,7 +168,7 @@ def _enumerate_assignments(
     risk-vector, slot-signature); states never reached under the policy are
     left unassigned (they are payoff-irrelevant).
     """
-    members = layers_i.view.members
+    members = layers_i.members
     horizon = len(layers_i.layers) - 1
     actions = layers_i.joint_actions
     own_slots = {
@@ -328,7 +328,7 @@ def brute_force_optimal(
 
     member_of = {}
     for layers_i in layers:
-        for v in layers_i.view.members:
+        for v in layers_i.members:
             if v in member_of:
                 parent[find(layers_i.id)] = find(member_of[v])
             member_of[v] = layers_i.id
@@ -383,7 +383,7 @@ def brute_force_optimal(
         chosen = best["asg"][layers_i.id]
         table = {}
         for k, s in layers_i.decision_points():
-            table[(s, k)] = chosen.get((s, k), layers_i.view.default_joint_action())
+            table[(s, k)] = chosen.get((s, k), layers_i.default_joint_action)
         full[layers_i.id] = table
     policy = Policy(full)
     risks = dict(zip(criteria, best["risks"]))
@@ -422,7 +422,7 @@ def fcfs_plan(
 
     def joint_assignment(layers_i, overrides):
         actions = []
-        for v in layers_i.view.members:
+        for v in layers_i.members:
             agent = instance.agents[v]
             if v in overrides:
                 actions.append(overrides[v])
@@ -441,9 +441,9 @@ def fcfs_plan(
 
     def action_risk_ok(v, action):
         for layers_i in layers:
-            if v not in layers_i.view.members:
+            if v not in layers_i.members:
                 continue
-            partners = [w for w in layers_i.view.members if w != v]
+            partners = [w for w in layers_i.members if w != v]
             if partners and not any(w in granted for w in partners):
                 continue
             policy = constant_policy(layers_i, {v: action})

@@ -316,13 +316,14 @@ def cluster_trajectories(
 # intent recognition
 
 
-def extend_prefix(points: np.ndarray, target_len: int, degree: int = 2) -> np.ndarray:
-    """Polynomial fit of the tracked points, extrapolated to target_len."""
+def extend_prefix(points: np.ndarray, target_len: int) -> np.ndarray:
+    """Quadratic fit of the tracked points (lower degree for fewer than
+    three), extrapolated to target_len."""
     points = np.asarray(points, dtype=float)
     if len(points) >= target_len:
         return points
     t = np.arange(len(points), dtype=float)
-    deg = min(degree, len(points) - 1)
+    deg = min(2, len(points) - 1)
     t_new = np.arange(target_len, dtype=float)
     cols = []
     for d in range(2):
@@ -520,7 +521,6 @@ class RiskTable:
     values: np.ndarray
     n_samples: int
     seed: int
-    interaction: str = ""
 
     def lookup(self, progressions) -> float:
         return float(self.values[tuple(int(p) for p in progressions)])
@@ -536,7 +536,6 @@ class RiskTable:
                 "window": self.window,
                 "n_samples": self.n_samples,
                 "seed": self.seed,
-                "interaction": self.interaction,
                 "dims": list(self.values.shape),
             }
         )
@@ -552,7 +551,6 @@ class RiskTable:
             values=data["values"],
             n_samples=int(header["n_samples"]),
             seed=int(header["seed"]),
-            interaction=header.get("interaction", ""),
         )
 
 
@@ -638,7 +636,6 @@ def precompute_risk_table(
     n: int = DEFAULT_SAMPLES,
     seed: int = 0,
     window: int | None = None,
-    interaction: str = "",
 ) -> RiskTable:
     """Fill the full product-of-progressions table for one interaction.
 
@@ -679,7 +676,6 @@ def precompute_risk_table(
         values=values,
         n_samples=n,
         seed=seed,
-        interaction=interaction,
     )
 
 
@@ -691,21 +687,18 @@ def synthesize_tracking_runs(
     nominal: np.ndarray,
     n_runs: int,
     seed: int = 0,
-    gain_range: tuple = (0.55, 1.0),
     noise_sd: float = 0.06,
-    start_sd: float | None = None,
 ) -> list:
-    """Proportional-tracking rollouts of a nominal path with per-run gain
-    jitter and process noise, emulating controller-to-controller spread.
-    Vehicles line up accurately, so the start-point spread is tighter than
-    the in-motion noise unless overridden."""
+    """Proportional-tracking rollouts of a nominal path with a per-run gain
+    drawn from [0.55, 1) and process noise, emulating controller-to-
+    controller spread.  Vehicles line up accurately, so the start-point
+    spread is a quarter of the in-motion noise."""
     nominal = np.asarray(nominal, dtype=float)
     rng = np.random.default_rng(seed)
-    if start_sd is None:
-        start_sd = 0.25 * noise_sd
+    start_sd = 0.25 * noise_sd
     runs = []
     for _ in range(n_runs):
-        gain = rng.uniform(*gain_range)
+        gain = rng.uniform(0.55, 1.0)
         pos = nominal[0] + rng.normal(0.0, start_sd, size=2)
         points = [pos.copy()]
         for target in nominal[1:]:
@@ -732,14 +725,13 @@ def pft_from_path(
     path: np.ndarray,
     speed: float,
     hz: float = DEFAULT_HZ,
-    n_runs: int = 30,
     seed: int = 0,
     noise_sd: float = 0.06,
     label: str = "",
 ) -> Pft:
     """Flow tube for a reference path traversed at constant speed: resample
-    by arclength at speed/hz spacing, roll out tracking runs, and fit."""
+    by arclength at speed/hz spacing, roll out 30 tracking runs, and fit."""
     nominal = resample_polyline(path, spacing=speed / hz)
-    runs = synthesize_tracking_runs(nominal, n_runs, seed=seed, noise_sd=noise_sd)
+    runs = synthesize_tracking_runs(nominal, 30, seed=seed, noise_sd=noise_sd)
     tube = pft_fit(runs, timestep=1.0 / hz, label=label)
     return tube

@@ -1,7 +1,7 @@
-"""Execution-risk semantics: survival-weighted transitions, the one
-evaluator of assignment tables (forward occupancy for expected utility,
-backward recursion for execution risk), and the equivalent linear form
-over occupancy flows.
+"""Execution-risk semantics: the one evaluator of assignment tables
+(forward occupancy for expected utility, backward recursion for execution
+risk), survival-damped policy flows, and the equivalent linear form over
+occupancy flows.
 
 The backward recursion is the ground-truth evaluator that the ILP's linear
 risk expression is checked against; both are kept here so the identity can
@@ -54,15 +54,6 @@ class Policy:
 
     def items(self):
         return self.assignments.items()
-
-
-def transition_tilde(transition_prob: float, state_risk: float) -> float:
-    """Survival-weighted transition probability t * (1 - state risk)."""
-    if not 0.0 <= transition_prob <= 1.0:
-        raise ValueError(f"transition probability {transition_prob!r} outside [0, 1]")
-    if not 0.0 <= state_risk <= 1.0:
-        raise ValueError(f"state risk {state_risk!r} outside [0, 1]")
-    return transition_prob * (1.0 - state_risk)
 
 
 def evaluate_table(layers_i: InteractionLayers, table: Mapping, criteria: tuple = ()):

@@ -31,7 +31,7 @@ from .model import (
     validate_instance,
 )
 from .oracles import CapExceeded, brute_force_optimal
-from .risk import execution_risk, linear_risk_from_flows
+from .risk import execution_risk, linear_risk_from_flows, policy_flows
 
 log = logging.getLogger(__name__)
 
@@ -89,16 +89,12 @@ def _random_risk(
     return risk
 
 
-def random_instance(
-    rng: np.random.Generator,
-    max_interactions: int = 2,
-    max_members: int = 2,
-    max_states: int = 4,
-    max_actions: int = 3,
-    max_horizon: int = 3,
-) -> MccSspInstance:
-    """One random instance within the small-instance envelope."""
-    n_interactions = int(rng.integers(1, max_interactions + 1))
+def random_instance(rng: np.random.Generator) -> MccSspInstance:
+    """One random instance within the small-instance envelope: one or two
+    interactions of one or two members, agents of 2-4 states and 1-3
+    actions (2-3 states and 1-2 actions in two-member interactions), and
+    horizon 1-3."""
+    n_interactions = int(rng.integers(1, 3))
     share = n_interactions == 2 and rng.random() < 0.4
 
     agents = {}
@@ -106,15 +102,15 @@ def random_instance(
     def new_agent(name, in_pair=False):
         # joint spaces of two-member interactions grow multiplicatively, so
         # keep those members smaller to stay inside the enumeration cap
-        n_states = int(rng.integers(2, (3 if in_pair else max_states) + 1))
-        n_actions = int(rng.integers(1, (2 if in_pair else max_actions) + 1))
+        n_states = int(rng.integers(2, 4 if in_pair else 5))
+        n_actions = int(rng.integers(1, 3 if in_pair else 4))
         agents[name] = _random_agent(rng, n_states, n_actions)
 
     members_per_point = []
     counter = 0
     shared_name = None
     for i in range(n_interactions):
-        n_members = int(rng.integers(1, max_members + 1))
+        n_members = int(rng.integers(1, 3))
         members = []
         if share and shared_name is None and i == 0:
             shared_name = f"v{counter}"
@@ -149,7 +145,7 @@ def random_instance(
             )
         )
     budgets = {j: float(round(rng.random() * 0.5, 4)) for j in criteria}
-    horizon = int(rng.integers(1, max_horizon + 1))
+    horizon = int(rng.integers(1, 4))
     return MccSspInstance(
         agents=agents,
         interactions=tuple(points),
@@ -275,6 +271,11 @@ def check_instance(instance: MccSspInstance, cap: int, report: EquivalenceReport
         report.failures.append(
             f"objective mismatch: solver {result.objective!r} vs oracle {oracle.objective!r}"
         )
+    # only the occupancy MIP returns flows; check any other verdict on the
+    # policy's own occupancies
+    flows = result.flows or {
+        j: policy_flows(instance, layers, result.policy, j) for j in instance.criteria
+    }
     for j in instance.criteria:
         risk = execution_risk(instance, layers, result.policy, j)
         excess = risk - instance.risk_budgets[j]
@@ -284,7 +285,7 @@ def check_instance(instance: MccSspInstance, cap: int, report: EquivalenceReport
                 f"policy risk {risk!r} exceeds budget {instance.risk_budgets[j]!r} ({j})"
             )
         # linear expression at the solver's flows vs the recursion
-        linear = linear_risk_from_flows(instance, layers, result.flows[j], j)
+        linear = linear_risk_from_flows(instance, layers, flows[j], j)
         lgap = abs(linear - risk)
         report.max_linear_form_gap = max(report.max_linear_form_gap, lgap)
         if lgap > LINEAR_FORM_TOL:

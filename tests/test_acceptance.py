@@ -280,7 +280,11 @@ def test_grid_binding_budget_trend(monkeypatch):
     )
 
 
-def test_planning_time_envelope_16_avs():
+@pytest.mark.slow
+def test_planning_time_envelope_16_avs(monkeypatch):
+    from mccssp import ilp
+
+    monkeypatch.setattr(ilp, "DEFAULT_MIP_REL_GAP", 1e-4)
     scenario = default_scenario(
         mc_samples=1500, queue_depth=2, lambdas=(1.0, 0.2, 0.5, 0.1)
     )
@@ -306,9 +310,7 @@ def test_planning_time_envelope_16_avs():
             scenario, vehicles, green_side="N", horizon=h, delta=0.05
         )
         layers = reachable_layers(inst)
-        result = solve_instance(
-            inst, layers, time_limit=None if h == 1 else 20.0, mip_rel_gap=1e-4
-        )
+        result = solve_instance(inst, layers, time_limit=None if h == 1 else 20.0)
         status, preprocess, solve_s = result.status, result.build_seconds, result.solve_seconds
         note = ""
         if status == "infeasible":
@@ -316,7 +318,7 @@ def test_planning_time_envelope_16_avs():
             # flag the verdict as the known backend presolve defect
             assign = {
                 li.id: {
-                    (s, k): li.view.default_joint_action()
+                    (s, k): li.default_joint_action
                     for k, s in li.decision_points()
                 }
                 for li in layers
@@ -367,6 +369,7 @@ REPLICATIONS = 100
 SIM_SECONDS = 30.0
 
 
+@pytest.mark.slow
 def test_intersection_trends(trend_scenario):
     start = time.perf_counter()
     throughput = {}

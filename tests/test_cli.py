@@ -204,6 +204,16 @@ def test_selftest_without_instances_is_input_error(count, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: --instances must be at least 1, got {count}\n"
 
 
+def test_selftest_negative_seed_is_input_error(monkeypatch, capsys):
+    import mccssp.selftest
+
+    monkeypatch.setattr(
+        mccssp.selftest, "run_oracle_equivalence", lambda *a, **k: pytest.fail("a check ran")
+    )
+    assert main(["selftest", "--seed", "-1", "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+
+
 def test_solve_oracle_objective_mismatch_is_solver_failure(instance_file, monkeypatch, capsys):
     import mccssp.oracles
 
@@ -230,6 +240,7 @@ def test_solve_oracle_objective_mismatch_is_solver_failure(instance_file, monkey
         ["--replications", "0"],
         ["--replications", "-2"],
         ["--jobs", "0"],
+        ["--seed", "-1"],
     ],
 )
 def test_intersect_sim_bad_arguments_are_input_errors(argv, monkeypatch, capsys):
@@ -249,6 +260,8 @@ def test_intersect_sim_bad_arguments_are_input_errors(argv, monkeypatch, capsys)
         ["--horizon", "1,x"],
         ["--delta", "1.5"],
         ["--risky-risk", "-0.2"],
+        ["--width", "-5", "--height", "-5"],
+        ["--seed", "-1"],
     ],
 )
 def test_grid_bench_bad_arguments_are_input_errors(argv, monkeypatch, capsys):
@@ -285,7 +298,8 @@ def test_grid_bench_solver_failure_writes_every_row_then_exits_2(tmp_path, monke
 
 @pytest.mark.parametrize("override", [
     {"mc_samples": 0}, {"queue_depth": 0}, {"mc_samples": "abc"}, {"horizon": None},
-    {"queue_depth": 1.5}, {"speeds": [8]},
+    {"queue_depth": 1.5}, {"speeds": [8]}, {"lambdas": [1.0, 0.0]}, {"priority": "high"},
+    {"noise_sd": -1}, {"lane_arrival": {"N0": "sometimes"}}, {"enabled_lanes": ["X9"]},
 ])
 def test_intersect_sim_bad_scenario_values_are_input_errors(
     override, tmp_path, monkeypatch, capsys
@@ -293,7 +307,7 @@ def test_intersect_sim_bad_scenario_values_are_input_errors(
     import mccssp.cli
 
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({**override, "enabled_lanes": ["N0", "E0"]}))
+    path.write_text(json.dumps({"enabled_lanes": ["N0", "E0"], **override}))
     ran = []
     monkeypatch.setattr(mccssp.cli, "_sim_cell", lambda job: ran.append(job))
     argv = ["intersect-sim", str(path), "--planners", "fcfs", "--replications", "1",
@@ -303,3 +317,17 @@ def test_intersect_sim_bad_scenario_values_are_input_errors(
     assert capsys.readouterr().err.startswith(f"error: scenario: {name} must be")
     assert ran == []
 
+
+
+def test_intersect_sim_accepts_every_default_scenario_value(tmp_path):
+    from dataclasses import asdict
+
+    from mccssp.intersection import ScenarioConfig
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(asdict(ScenarioConfig())))
+    out_file = str(tmp_path / "sim.csv")
+    argv = ["intersect-sim", str(path), "--planners", "fcfs", "--replications", "1",
+            "--duration", "3", "--out", out_file]
+    assert main(argv) == 0
+    assert len(open(out_file).read().splitlines()) == 3

@@ -29,7 +29,7 @@ from mccssp.model import (
     reachable_layers,
 )
 from mccssp.oracles import brute_force_optimal, dp_optimal_utility
-from mccssp.risk import execution_risk, linear_risk_from_flows
+from mccssp.risk import execution_risk, linear_risk_from_flows, policy_flows
 
 
 def test_variable_counts_match_closed_form(risky_safe):
@@ -84,8 +84,13 @@ def test_linear_form_identity_at_optimum():
     inst = make_risky_safe_instance(delta=0.3, horizon=2)
     layers = reachable_layers(inst)
     result = solve_instance(inst, layers)
+    # only the occupancy MIP returns flows; any other verdict is checked on
+    # the policy's own occupancies
+    flows = result.flows or {
+        j: policy_flows(inst, layers, result.policy, j) for j in inst.criteria
+    }
     for j in inst.criteria:
-        linear = linear_risk_from_flows(inst, layers, result.flows[j], j)
+        linear = linear_risk_from_flows(inst, layers, flows[j], j)
         recursion = execution_risk(inst, layers, result.policy, j)
         assert abs(linear - recursion) < 1e-9
 

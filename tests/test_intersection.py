@@ -147,7 +147,7 @@ def test_hv_intent_split_mixes_branch_risks(small_scenario):
         table = {}
         for k, s in li.decision_points():
             joint = []
-            for vid, part in zip(li.view.members, s):
+            for vid, part in zip(li.members, s):
                 agent = inst.agents[vid]
                 joint.append("go_s0" if "go_s0" in agent.actions else agent.actions[0])
             table[(s, k)] = tuple(joint)
@@ -186,11 +186,11 @@ def test_action_utility_terms():
     assert capped == pytest.approx(math.sqrt(300.0))
 
 
-def test_wait_utility_grows_within_horizon(small_scenario):
+def test_wait_utility_grows_within_horizon():
+    scenario = default_scenario(mc_samples=600, lambdas=(0.0, 0.0, 1.0, 0.0))
     ego = VehicleState(id="v00000", kind="av", lane="W1", slot=0, wait_s=4.0)
     inst, _ = build_intersection_instance(
-        small_scenario, [ego], green_side="N", horizon=2, delta=0.05,
-        lambdas=(0.0, 0.0, 1.0, 0.0),
+        scenario, [ego], green_side="N", horizon=2, delta=0.05
     )
     agent = inst.agents["v00000"]
     u0 = agent.reward(("wait", 0), "go_s0")
@@ -315,7 +315,9 @@ def test_simulate_rejects_unknown_planner_and_empty_duration(small_scenario):
 
 
 # at h=2 the occupancy MIP takes up to 4 s on a step with full queues
-@pytest.mark.parametrize("horizon, duration", [(1, 20), (2, 10)])
+@pytest.mark.parametrize(
+    "horizon, duration", [(1, 20), pytest.param(2, 10, marks=pytest.mark.slow)]
+)
 def test_simulated_steps_solve_alike_by_paths_and_occupancy(
     small_scenario, monkeypatch, horizon, duration
 ):
@@ -415,7 +417,7 @@ def _policy_from_own_actions(layers, own):
 
     return Policy({
         li.id: {
-            (s, k): tuple(own[v][(part, k)] for v, part in zip(li.view.members, s))
+            (s, k): tuple(own[v][(part, k)] for v, part in zip(li.members, s))
             for k, s in li.decision_points()
         }
         for li in layers

@@ -8,7 +8,6 @@ from mccssp.model import (
     MccSspInstance,
     StateRisk,
     assign_utility_owners,
-    interaction_product,
     reachable_layers,
     validate_instance,
 )
@@ -63,10 +62,12 @@ def test_default_owner_assignment():
     assert flags == [(True, True), (False, True)]
 
 
-def test_interaction_product_action_count():
+def test_layers_joint_action_count():
     inst = make_coinflip_pair_instance()
-    view = interaction_product(inst, 0)
-    assert len(view.joint_actions) == 1  # 1 x 1 actions
+    layers_i = reachable_layers(inst).per_interaction[0]
+    assert len(layers_i.joint_actions) == 1  # 1 x 1 actions
+    assert layers_i.members == ("a", "b")
+    assert layers_i.default_joint_action == ("flip", "flip")
     # two actions each would give four
     a = inst.agents["a"]
     agent2 = AgentMdp(
@@ -86,15 +87,14 @@ def test_interaction_product_action_count():
         1,
         {"j": 1.0},
     )
-    assert len(interaction_product(inst2, 0).joint_actions) == 4
+    assert len(reachable_layers(inst2).per_interaction[0].joint_actions) == 4
 
 
-def test_interaction_product_coinflip_probabilities():
-    inst = make_coinflip_pair_instance()
-    view = interaction_product(inst, 0)
-    row = view.transition(("a0", "b0"), ("flip", "flip"))
+def test_layers_coinflip_probabilities():
+    layers_i = reachable_layers(make_coinflip_pair_instance()).per_interaction[0]
+    row = layers_i.edges[(("a0", "b0"), ("flip", "flip"))]
     assert len(row) == 4
-    assert all(abs(p - 0.25) < 1e-12 for p in row.values())
+    assert all(abs(p - 0.25) < 1e-12 for _, p in row)
 
 
 def test_utility_owner_excluded_at_non_owning_interaction():
@@ -105,10 +105,9 @@ def test_utility_owner_excluded_at_non_owning_interaction():
         InteractionPoint(1, ("a",), (False,), {}),
     )
     inst2 = MccSspInstance(shared, points, 1, {"j": 1.0})
-    owner_view = interaction_product(inst2, 0)
-    other_view = interaction_product(inst2, 1)
-    assert owner_view.utility(("a0", "b0"), ("flip", "flip")) == 2.0
-    assert other_view.utility(("a0",), ("flip",)) == 0.0
+    layers = reachable_layers(inst2).per_interaction
+    assert layers[0].utilities[(("a0", "b0"), ("flip", "flip"))] == 2.0
+    assert layers[1].utilities[(("a0",), ("flip",))] == 0.0
 
 
 def test_utility_decomposition_sums_to_per_agent_total():
@@ -118,9 +117,11 @@ def test_utility_decomposition_sums_to_per_agent_total():
         InteractionPoint(1, ("b",), (True,), {}),
     )
     inst2 = MccSspInstance(inst.agents, points, 1, {"j": 1.0})
-    v0 = interaction_product(inst2, 0)
-    v1 = interaction_product(inst2, 1)
-    total = v0.utility(("a0", "b0"), ("flip", "flip")) + v1.utility(("b0",), ("flip",))
+    layers = reachable_layers(inst2).per_interaction
+    total = (
+        layers[0].utilities[(("a0", "b0"), ("flip", "flip"))]
+        + layers[1].utilities[(("b0",), ("flip",))]
+    )
     per_agent = sum(
         inst2.agents[v].reward(f"{v}0", "flip") for v in ("a", "b")
     )
@@ -129,7 +130,7 @@ def test_utility_decomposition_sums_to_per_agent_total():
 
 def test_unknown_interaction_id(risky_safe):
     with pytest.raises(InstanceError):
-        interaction_product(risky_safe, 99)
+        risky_safe.interaction(99)
 
 
 def test_reachable_layers_deterministic_chain():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -373,6 +374,18 @@ def test_risk_table_serialization_roundtrip(tmp_path, crossing_tubes):
     assert clone.window == table.window
     assert clone.seed == table.seed and clone.n_samples == table.n_samples
     assert np.array_equal(clone.values, table.values)
+
+
+def test_risk_table_loads_a_header_with_an_interaction_label(tmp_path):
+    # tables saved before the label was dropped carry an "interaction" key
+    header = {"maneuvers": ["a", "b"], "window": 4, "n_samples": 200, "seed": 3,
+              "interaction": "north-west", "dims": [2, 2]}
+    path = str(tmp_path / "old.npz")
+    np.savez(path, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+             values=np.eye(2))
+    table = RiskTable.load(path)
+    assert table.maneuvers == ("a", "b") and table.window == 4
+    assert np.array_equal(table.values, np.eye(2))
 
 
 def test_pft_serialization_roundtrip():

@@ -18,7 +18,6 @@ from mccssp.risk import (
     expected_utility,
     linear_risk_from_flows,
     policy_flows,
-    transition_tilde,
 )
 from mccssp.selftest import random_instance
 
@@ -29,16 +28,6 @@ def test_state_risk_tilde_cases():
     assert state_risk_tilde([1.0, 0.3]) == 1.0
     with pytest.raises(ValueError):
         state_risk_tilde([1.2])
-
-
-def test_transition_tilde_cases():
-    assert abs(transition_tilde(0.5, 0.28) - 0.36) < 1e-15
-    assert transition_tilde(0.7, 0.0) == 0.7
-    assert transition_tilde(0.7, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        transition_tilde(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        transition_tilde(0.5, 1.5)
 
 
 def _go_policy(layers):
