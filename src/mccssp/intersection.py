@@ -219,9 +219,11 @@ class PairRisk:
 
 
 class Scenario:
-    """Built scenario: lanes, lazily constructed tubes and pair tables."""
+    """Built scenario: lanes, lazily constructed tubes and pair tables.
+    Raises ValueError on a config that no run can use."""
 
     def __init__(self, config: ScenarioConfig):
+        config.validate()
         self.config = config
         self.geometry = VehicleGeometry(config.vehicle_length, config.vehicle_width)
         self.steps_per_plan = int(round(config.dt * config.hz))
@@ -342,7 +344,7 @@ def action_utility(
     priority: float,
     wait_s: float,
     lane_mean_priority: float,
-    w_max: float = 300.0,
+    w_max: float,
 ) -> float:
     """Per-vehicle utility of a non-wait action: weighted velocity,
     priority, square-root waiting time, and mean lane priority."""
@@ -403,7 +405,7 @@ class BuildInfo:
     pair to its point, and holds only pairs that can collide within the
     horizon."""
 
-    vehicle_meta: dict  # vehicle, candidates, intent weights, state profiles
+    vehicle_meta: dict  # vehicle, candidates, state profiles, moving states
     singleton_ids: dict  # vehicle -> its own point, which owns its utility
     pair_ids: dict
     arrival_order: list
@@ -422,9 +424,9 @@ def build_intersection_instance(
     executing vehicles are frozen single-action obstacles; HVs hold a
     single action whose transition encodes the intent schedule (wait-only
     on red).  Every vehicle's candidate variants and every HV's intent
-    weights are fixed here and stored in its meta, so the instance reads
-    only build-time data: changing a ``VehicleState`` afterwards does not
-    change it.
+    weights are fixed here (the weights inside its meta's state
+    profiles), so the instance reads only build-time data: changing a
+    ``VehicleState`` afterwards does not change it.
 
     A pair of vehicles with a controllable member gets a pair point only
     when it can collide within the horizon (see ``_can_collide``): the
@@ -445,7 +447,7 @@ def build_intersection_instance(
     lane_pool = {}
     for v in active:
         lane_pool.setdefault(v.lane, []).append(v.priority)
-    lane_mean = {lane: float(np.mean(ps)) for lane, ps in lane_pool.items()}
+    lane_mean = {lane: sum(ps) / len(ps) for lane, ps in lane_pool.items()}
 
     meta = {}
     agents = {}
@@ -534,7 +536,6 @@ def build_intersection_instance(
         meta[v.id] = {
             "vehicle": v,
             "candidates": candidates,
-            "weights": weights,
             "profiles": profiles,
             "moving": [[s for s in layer if profiles[s]] for layer in reach],
         }

@@ -1,7 +1,10 @@
 """Instance file format: a JSON document with explicit state/action sets,
 transition and utility tables, interaction points, budgets, and a format
 version.  Joint states in risk maps are serialized as ordered arrays
-following each interaction's member order.
+following each interaction's member order.  A risk block is written as
+``"aggregate"`` (joint state -> probability); a ``"pairwise"`` block (per
+member pair, (state, state) -> probability) is accepted on load and
+expanded to the aggregate table at once.
 
 Only table-backed instances round-trip; domains that rely on implicit
 state containers or callable tables (the large grids) are generated in
@@ -66,26 +69,14 @@ def instance_to_json(instance: MccSspInstance) -> str:
     for point in instance.interactions:
         risk = {}
         for j, spec in point.risk.items():
-            if spec.is_pairwise:
-                pairs = []
-                for (v, w), table in spec._pairwise.items():
-                    if callable(table):
-                        raise InstanceError("callable risk tables cannot be serialized")
-                    pairs.append(
-                        [_thaw(v), _thaw(w),
-                         [[_thaw(sv), _thaw(sw), p] for (sv, sw), p in sorted(table.items(), key=repr)]]
-                    )
-                risk[j] = {"pairwise": pairs}
-            else:
-                table = spec._aggregate
-                if callable(table):
-                    raise InstanceError("callable risk tables cannot be serialized")
-                risk[j] = {
-                    "aggregate": [
-                        [[_thaw(part) for part in joint], p]
-                        for joint, p in sorted(table.items(), key=repr)
-                    ]
-                }
+            if callable(spec.table):
+                raise InstanceError("callable risk tables cannot be serialized")
+            risk[j] = {
+                "aggregate": [
+                    [[_thaw(part) for part in joint], p]
+                    for joint, p in sorted(spec.table.items(), key=repr)
+                ]
+            }
         interactions.append(
             {
                 "id": point.id,
@@ -134,6 +125,7 @@ def instance_from_json(text: str) -> MccSspInstance:
 
     interactions = []
     for pt in data["interactions"]:
+        members = tuple(_freeze(v) for v in pt["members"])
         risk = {}
         for j, body in pt["risk"].items():
             if "aggregate" in body:
@@ -149,11 +141,16 @@ def instance_from_json(text: str) -> MccSspInstance:
                     tables[(_freeze(v), _freeze(w))] = {
                         (_freeze(sv), _freeze(sw)): float(p) for sv, sw, p in rows
                     }
-                risk[j] = StateRisk.from_pairwise(tables)
+                unknown = [v for v in members if v not in agents]
+                if unknown:
+                    raise InstanceError(f"interaction {pt['id']}: unknown agent {unknown[0]!r}")
+                risk[j] = StateRisk.from_pairwise(
+                    tables, members, [agents[v].states for v in members]
+                )
         interactions.append(
             InteractionPoint(
                 id=int(pt["id"]),
-                members=tuple(_freeze(v) for v in pt["members"]),
+                members=members,
                 utility_owners=tuple(bool(b) for b in pt["utility_owners"]),
                 risk=risk,
             )

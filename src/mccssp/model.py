@@ -100,70 +100,61 @@ class AgentMdp:
 class StateRisk:
     """Per-criterion failure probability of a joint interaction state.
 
-    Holds either the aggregate form (joint state -> probability, already
-    the one-minus-product aggregate) or the pairwise form (per member pair,
-    (state, state) -> probability) from which the aggregate is derived.
+    ``table`` maps each joint state (a tuple in member order) to its
+    probability: a dict, whose missing entries read as zero risk, or a
+    callable(joint_state) -> p.
     """
 
-    def __init__(self, aggregate=None, pairwise=None):
-        if (aggregate is None) == (pairwise is None):
-            raise InstanceError("StateRisk needs exactly one of aggregate/pairwise")
-        self._aggregate = aggregate
-        self._pairwise = pairwise
+    def __init__(self, table):
+        self.table = table
 
     @classmethod
     def from_aggregate(cls, table) -> "StateRisk":
-        """``table``: dict joint-state-tuple -> p, or callable(joint_state) -> p.
-
-        Missing dict entries read as zero risk.
-        """
-        return cls(aggregate=table)
+        """``table``: dict joint-state-tuple -> p, or callable(joint_state) -> p."""
+        return cls(table)
 
     @classmethod
-    def from_pairwise(cls, tables: Mapping) -> "StateRisk":
-        """``tables``: {(v, v'): dict[(s_v, s_v')] -> p or callable(s_v, s_v') -> p}."""
-        return cls(pairwise=dict(tables))
-
-    @property
-    def is_pairwise(self) -> bool:
-        return self._pairwise is not None
-
-    def pair_probabilities(self, members: Sequence[AgentId], joint_state: tuple) -> list:
-        """Pairwise failure probabilities at a joint state (pairwise form only)."""
-        if self._pairwise is None:
-            raise InstanceError("aggregate risk has no pairwise decomposition")
+    def from_pairwise(
+        cls, tables: Mapping, members: Sequence[AgentId], state_sets: Sequence
+    ) -> "StateRisk":
+        """Expand per-pair tables ``{(v, w): {(s_v, s_w): p}}`` (missing
+        entries read as zero) over the product of the members'
+        ``state_sets``.  Each joint state holds ``state_risk_tilde`` of its
+        pair probabilities in ``tables`` order; zero entries are left out.
+        Raises InstanceError on a pair that names a non-member or holds a
+        probability outside [0, 1].
+        """
         pos = {v: i for i, v in enumerate(members)}
-        probs = []
-        for (v, w), table in self._pairwise.items():
-            sv, sw = joint_state[pos[v]], joint_state[pos[w]]
-            if callable(table):
-                probs.append(float(table(sv, sw)))
-            else:
-                probs.append(float(table.get((sv, sw), 0.0)))
-        return probs
+        pairs = []
+        for (v, w), table in tables.items():
+            if v not in pos or w not in pos:
+                raise InstanceError(f"risk pair ({v!r}, {w!r}) names a non-member")
+            for p in table.values():
+                if not 0.0 <= p <= 1.0:
+                    raise InstanceError(f"pair risk {p!r} outside [0, 1] for ({v!r}, {w!r})")
+            pairs.append((pos[v], pos[w], table))
+        aggregate = {}
+        for joint in itertools.product(*state_sets):
+            value = state_risk_tilde(
+                float(table.get((joint[i], joint[k]), 0.0)) for i, k, table in pairs
+            )
+            if value:
+                aggregate[joint] = value
+        return cls(aggregate)
 
-    def tilde(self, members: Sequence[AgentId], joint_state: tuple) -> float:
+    def tilde(self, joint_state: tuple) -> float:
         """Aggregate failure probability of the joint state."""
-        if self._aggregate is not None:
-            if callable(self._aggregate):
-                value = float(self._aggregate(joint_state))
-            else:
-                value = float(self._aggregate.get(joint_state, 0.0))
+        if callable(self.table):
+            value = float(self.table(joint_state))
         else:
-            value = state_risk_tilde(self.pair_probabilities(members, joint_state))
+            value = float(self.table.get(joint_state, 0.0))
         if not 0.0 <= value <= 1.0:
             raise InstanceError(f"risk value {value!r} outside [0, 1] at {joint_state!r}")
         return value
 
     def enumerable_values(self) -> Iterable[float]:
         """All explicitly stored probabilities (for validation); empty for callables."""
-        if self._aggregate is not None:
-            if not callable(self._aggregate):
-                yield from self._aggregate.values()
-            return
-        for table in self._pairwise.values():
-            if not callable(table):
-                yield from table.values()
+        return () if callable(self.table) else self.table.values()
 
 
 @dataclass(frozen=True)
@@ -188,7 +179,7 @@ class InteractionPoint:
         spec = self.risk.get(criterion)
         if spec is None:
             return 0.0
-        return spec.tilde(self.members, joint_state)
+        return spec.tilde(joint_state)
 
 
 def assign_utility_owners(

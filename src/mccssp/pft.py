@@ -316,22 +316,6 @@ def cluster_trajectories(
 # intent recognition
 
 
-def extend_prefix(points: np.ndarray, target_len: int) -> np.ndarray:
-    """Quadratic fit of the tracked points (lower degree for fewer than
-    three), extrapolated to target_len."""
-    points = np.asarray(points, dtype=float)
-    if len(points) >= target_len:
-        return points
-    t = np.arange(len(points), dtype=float)
-    deg = min(2, len(points) - 1)
-    t_new = np.arange(target_len, dtype=float)
-    cols = []
-    for d in range(2):
-        coef = np.polyfit(t, points[:, d], deg)
-        cols.append(np.polyval(coef, t_new))
-    return np.stack(cols, axis=1)
-
-
 def _log_gauss2(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     d = x - mean
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]

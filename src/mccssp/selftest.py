@@ -67,7 +67,8 @@ def _random_risk(
     agents: dict,
     criteria: tuple,
 ) -> dict:
-    """Aggregate or pairwise risk tables over the full joint state space."""
+    """Risk tables over the full joint state space, drawn per joint state
+    or, for some two-member points, per member pair."""
     import itertools
 
     risk = {}
@@ -79,7 +80,9 @@ def _random_risk(
                 for sw in state_sets[1]:
                     if rng.random() < 0.3:
                         table[(sv, sw)] = float(round(rng.random() * 0.35, 4))
-            risk[j] = StateRisk.from_pairwise({(members[0], members[1]): table})
+            risk[j] = StateRisk.from_pairwise(
+                {(members[0], members[1]): table}, members, state_sets
+            )
         else:
             table = {}
             for joint in itertools.product(*state_sets):

@@ -8,6 +8,7 @@ import scipy.optimize
 from mccssp import intersection
 from mccssp.ilp import DEFAULT_MIP_REL_GAP, build_ilp, solve, solve_instance
 from mccssp.intersection import (
+    Scenario,
     ScenarioConfig,
     VehicleState,
     action_utility,
@@ -178,11 +179,11 @@ def test_red_light_hv_waits(small_scenario):
 
 
 def test_action_utility_terms():
-    assert action_utility((1, 0, 0, 0), 2.0, 5.0, 9.0, 3.0) == 2.0
-    assert action_utility((0, 0, 4, 0), 2.0, 5.0, 10.0, 3.0) == pytest.approx(4 * math.sqrt(10))
-    assert action_utility((0, 0, 0, 0), 2.0, 5.0, 10.0, 3.0) == 0.0
-    assert action_utility((0, 1, 0, 2), 2.0, 5.0, 10.0, 3.0) == 11.0
-    capped = action_utility((0, 0, 1, 0), 0.0, 0.0, 1e9, 0.0, w_max=300.0)
+    assert action_utility((1, 0, 0, 0), 2.0, 5.0, 9.0, 3.0, 300.0) == 2.0
+    assert action_utility((0, 0, 4, 0), 2.0, 5.0, 10.0, 3.0, 300.0) == pytest.approx(4 * math.sqrt(10))
+    assert action_utility((0, 0, 0, 0), 2.0, 5.0, 10.0, 3.0, 300.0) == 0.0
+    assert action_utility((0, 1, 0, 2), 2.0, 5.0, 10.0, 3.0, 300.0) == 11.0
+    capped = action_utility((0, 0, 1, 0), 0.0, 0.0, 1e9, 0.0, 300.0)
     assert capped == pytest.approx(math.sqrt(300.0))
 
 
@@ -244,6 +245,13 @@ def test_halt_state_on_deviation():
     )
     metrics = simulate(scenario, "mccssp", duration_s=20, seed=1, horizon=1, delta=0.05)
     assert metrics.halts >= 1
+
+
+def test_scenario_rejects_a_config_no_run_can_use():
+    with pytest.raises(ValueError, match="noise_sd"):
+        default_scenario(noise_sd=-1, mc_samples=200, enabled_lanes=("N0", "E0"))
+    with pytest.raises(ValueError, match="lambdas"):
+        Scenario(ScenarioConfig(lambdas=(1.0, 0.0)))
 
 
 def test_case_study_scenario_shape():

@@ -1,6 +1,11 @@
+import itertools
+import json
+
+import numpy as np
 import pytest
 
 from builders import make_coinflip_pair_instance
+from mccssp.cli import main
 from mccssp.grid import GridSpec, generate_grid_instance
 from mccssp.io import (
     instance_from_json,
@@ -14,9 +19,11 @@ from mccssp.model import (
     InteractionPoint,
     MccSspInstance,
     StateRisk,
+    reachable_layers,
     validate_instance,
 )
 from mccssp.ilp import solve_instance
+from mccssp.selftest import random_instance
 
 
 def test_roundtrip_preserves_solution(tmp_path, risky_safe):
@@ -39,17 +46,109 @@ def test_tuple_states_roundtrip():
 
 def test_pairwise_risk_roundtrip():
     inst = make_coinflip_pair_instance()
-    point = InteractionPoint(
-        0,
-        ("a", "b"),
-        (True, True),
-        {"j": StateRisk.from_pairwise({("a", "b"): {("a1", "b1"): 0.25}})},
-    )
+    members = ("a", "b")
+    state_sets = [inst.agents[v].states for v in members]
+    spec = StateRisk.from_pairwise({members: {("a1", "b1"): 0.25}}, members, state_sets)
+    point = InteractionPoint(0, members, (True, True), {"j": spec})
     inst2 = MccSspInstance(inst.agents, (point,), 1, {"j": 0.5})
-    clone = instance_from_json(instance_to_json(inst2))
-    spec = clone.interactions[0].risk["j"]
-    assert spec.is_pairwise
-    assert abs(spec.tilde(("a", "b"), ("a1", "b1")) - 0.25) < 1e-15
+    text = instance_to_json(inst2)
+    assert '"pairwise"' not in text
+    clone = instance_from_json(text).interactions[0]
+    for joint in itertools.product(*(sorted(states) for states in state_sets)):
+        expected = 1.0 - (1.0 - 0.25) if joint == ("a1", "b1") else 0.0
+        assert clone.state_risk("j", joint) == point.state_risk("j", joint) == expected
+
+
+def test_random_draws_roundtrip_state_risk_bit_for_bit(monkeypatch):
+    """Every draw the 200-instance selftest at seed 20240 makes (206 of
+    them), through the JSON writer and reader: each layer state's risk is
+    the same float."""
+    pairwise_calls = []
+    expand = StateRisk.from_pairwise
+
+    def counting(*args):
+        pairwise_calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(StateRisk, "from_pairwise", counting)
+    rng = np.random.default_rng(20240)
+    for _ in range(206):
+        instance = random_instance(rng)
+        clone = instance_from_json(instance_to_json(instance))
+        for layers in reachable_layers(instance):
+            point, copy = layers.point, clone.interaction(layers.id)
+            for criterion in instance.criteria:
+                for layer in layers.layers:
+                    for joint in layer:
+                        assert (
+                            copy.state_risk(criterion, joint).hex()
+                            == point.state_risk(criterion, joint).hex()
+                        )
+    assert len(pairwise_calls) > 50
+
+
+def _coin_json(name):
+    return {
+        "states": [f"{name}0", f"{name}1"],
+        "actions": ["flip"],
+        "initial_state": f"{name}0",
+        "wait_action": None,
+        "transition": [
+            [f"{name}{i}", "flip", [[f"{name}0", 0.5], [f"{name}1", 0.5]]] for i in (0, 1)
+        ],
+        "utility": [[f"{name}{i}", "flip", 1.0 - i] for i in (0, 1)],
+    }
+
+
+def _three_member_pairwise_json(p_ab=0.3, second=("b", "c")):
+    """Three coins in one point, its risk given as two pairwise tables."""
+    return json.dumps(
+        {
+            "format_version": 1,
+            "horizon": 2,
+            "risk_budgets": {"col": 1.0},
+            "agents": {v: _coin_json(v) for v in "abc"},
+            "interactions": [
+                {
+                    "id": 0,
+                    "members": ["a", "b", "c"],
+                    "utility_owners": [True, True, True],
+                    "risk": {"col": {"pairwise": [
+                        ["a", "b", [["a0", "b1", p_ab], ["a1", "b1", 0.1]]],
+                        [*second, [["b1", "c0", 0.45], ["b1", "c1", 0.7]]],
+                    ]}},
+                }
+            ],
+        }
+    )
+
+
+def test_pairwise_block_loads_to_one_minus_product_in_file_order():
+    text = _three_member_pairwise_json()
+    pairs = json.loads(text)["interactions"][0]["risk"]["col"]["pairwise"]
+    point = instance_from_json(text).interactions[0]
+    members = ("a", "b", "c")
+    for joint in itertools.product(*((f"{v}0", f"{v}1") for v in members)):
+        survival = 1.0
+        for v, w, rows in pairs:
+            table = {(sv, sw): p for sv, sw, p in rows}
+            survival *= 1.0 - table.get((joint[members.index(v)], joint[members.index(w)]), 0.0)
+        assert point.state_risk("col", joint).hex() == (1.0 - survival).hex()
+    assert point.state_risk("col", ("a0", "b1", "c1")) > 0.7
+
+
+def test_pairwise_block_with_a_bad_pair_is_rejected_at_load():
+    with pytest.raises(InstanceError, match="outside"):
+        instance_from_json(_three_member_pairwise_json(p_ab=1.5))
+    with pytest.raises(InstanceError, match="non-member"):
+        instance_from_json(_three_member_pairwise_json(second=("b", "d")))
+
+
+def test_solve_rejects_a_pair_risk_above_one(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(_three_member_pairwise_json(p_ab=1.5))
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot load instance: ")
 
 
 def test_version_mismatch_rejected(risky_safe):

@@ -198,9 +198,18 @@ def test_renormalization_within_tolerance():
 
 
 def test_pairwise_risk_aggregation():
-    spec = StateRisk.from_pairwise({("a", "b"): {("x", "y"): 0.1}})
-    assert abs(spec.tilde(("a", "b"), ("x", "y")) - 0.1) < 1e-15
-    assert spec.tilde(("a", "b"), ("x", "z")) == 0.0
+    spec = StateRisk.from_pairwise(
+        {("a", "b"): {("x", "y"): 0.1}, ("b", "c"): {("y", "w"): 0.5}},
+        ("a", "b", "c"),
+        [{"x", "z"}, {"y"}, {"w"}],
+    )
+    assert spec.tilde(("x", "y", "w")) == 1.0 - (1.0 - 0.1) * (1.0 - 0.5)
+    assert spec.tilde(("z", "y", "w")) == 0.5
+    assert spec.tilde(("x", "q", "w")) == 0.0  # outside the state sets
+    with pytest.raises(InstanceError):
+        StateRisk.from_pairwise({("a", "d"): {}}, ("a", "b"), [{"x"}, {"y"}])
+    with pytest.raises(InstanceError):
+        StateRisk.from_pairwise({("a", "b"): {("x", "y"): -0.1}}, ("a", "b"), [{"x"}, {"y"}])
 
 
 def test_ambient_size_invariance_of_layers():

@@ -16,7 +16,6 @@ from mccssp.pft import (
     collision_prob_at,
     dtw_align,
     dtw_cost_and_path,
-    extend_prefix,
     intent_posterior,
     pairwise_risk,
     pft_fit,
@@ -167,14 +166,6 @@ def test_posterior_invariant_under_relabeling():
 def test_posterior_rejects_empty_candidates():
     with pytest.raises(ValueError):
         intent_posterior({}, np.zeros((1, 2)))
-
-
-def test_extend_prefix_linear_motion():
-    points = line(5, dx=1.0)
-    extended = extend_prefix(points, 9)
-    assert extended.shape == (9, 2)
-    assert np.allclose(extended[:5], points, atol=1e-9)
-    assert abs(extended[8, 0] - 8.0) < 1e-6
 
 
 def test_collision_probability_extremes():
