@@ -88,10 +88,10 @@ def cmd_solve(args) -> int:
         return 1
     layers = reachable_layers(instance)
     if args.export_lp:
-        from .ilp import BudgetExhausted, build_ilp
+        from .ilp import BudgetExhausted, build_model
 
         try:
-            model = build_ilp(instance, layers)
+            model = build_model(instance, layers)
         except BudgetExhausted as exc:
             print(f"cannot export: {exc}", file=sys.stderr)
             return 1
@@ -116,6 +116,7 @@ def cmd_solve(args) -> int:
                     print(f"policy i={i} k={k} state={state!r} -> {action!r}")
     if args.oracle:
         from .oracles import CapExceeded, brute_force_optimal
+        from .selftest import OBJECTIVE_TOL
 
         try:
             oracle = brute_force_optimal(instance, layers)
@@ -124,7 +125,7 @@ def cmd_solve(args) -> int:
             return 0
         if result.status == "optimal" and oracle.status == "optimal":
             gap = abs(result.objective - oracle.objective)
-            agree = gap <= 1e-6
+            agree = gap <= OBJECTIVE_TOL
             verdict = "oracle agrees" if agree else f"ORACLE MISMATCH (gap {gap})"
             print(f"objective {result.objective:.6f}, {verdict}")
         else:

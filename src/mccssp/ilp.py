@@ -798,21 +798,26 @@ def _default_action_fallback(model: IlpModel | PathModel) -> SolveResult:
     )
 
 
+def build_model(instance: MccSspInstance, layers: LayeredSpace) -> IlpModel | PathModel:
+    """The model ``solve_instance`` decides: the path model where it
+    applies, the occupancy model otherwise.  Raises BudgetExhausted as
+    ``build_ilp`` does."""
+    model = build_path_model(instance, layers)
+    return build_ilp(instance, layers) if model is None else model
+
+
 def solve_instance(
     instance: MccSspInstance,
     layers: LayeredSpace | None = None,
     time_limit: float | None = None,
 ) -> SolveResult:
-    """Validate, layer, build, and solve; maps BudgetExhausted to a status.
-    The path model is built where it applies, the occupancy model
-    otherwise."""
+    """Validate, layer, build (see ``build_model``), and solve; maps
+    BudgetExhausted to a status."""
     build_start = time.perf_counter()
     if layers is None:
         layers = reachable_layers(instance)
     try:
-        model = build_path_model(instance, layers)
-        if model is None:
-            model = build_ilp(instance, layers)
+        model = build_model(instance, layers)
     except BudgetExhausted:
         return SolveResult(
             status="budget_exhausted",

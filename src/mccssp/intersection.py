@@ -1,5 +1,5 @@
 """Risk-aware intersection domain: scenario geometry, maneuver flow tubes,
-pairwise risk tables, snapshot-to-instance construction, the multi-term
+pairwise risk tables, vehicles-to-instance construction, the multi-term
 utility, and receding-horizon simulation against either planner.
 
 Layout is a two-lane four-sided intersection: per side an outer lane for
@@ -19,18 +19,18 @@ granted and is sampled during simulation, not constrained again).
 Together these make the all-wait plan feasible at any budget, which the
 receding-horizon loop relies on.
 
-A pair point is emitted only for a pair that can collide within the
-horizon: its risk must be positive at some pair of own states the two
-vehicles can occupy at the same step k <= h.  Those pairs cover every
-joint state the point could reach, so a dropped point has zero risk
-under every policy; it owns no utility and would only add consistency
-rows that every plan satisfies, so dropping it changes no optimum.
+A pair point's risk is a table over the joint states of two own states
+the vehicles can occupy at the same step k <= h, filled from the variant
+pair tables when the instance is built.  The point is emitted only when
+some entry is positive: those joint states cover every one the point
+could reach, so a dropped point has zero risk under every policy; it owns
+no utility and would only add consistency rows that every plan
+satisfies, so dropping it changes no optimum.
 
 Vehicle model: a vehicle waits, or enters a variant and runs its tube one
-planning interval per state until it is past the tube.  Each built
-instance is a snapshot: candidate variants and human intent weights are
-fixed at build time, and its risk lookups read only that build-time data,
-never the simulation's mutable vehicle state.
+planning interval per state until it is past the tube.  A built instance
+is plain data, with no reference to the scenario or the vehicles: it can
+be saved with ``io.save_instance`` and solved again from the file.
 """
 
 from __future__ import annotations
@@ -401,11 +401,10 @@ def _hv_candidate_weights(scenario: Scenario, vehicle: VehicleState) -> dict:
 
 @dataclass
 class BuildInfo:
-    """Per-vehicle records of a build.  ``pair_ids`` maps a vehicle-id
-    pair to its point, and holds only pairs that can collide within the
+    """Vehicle records of a build.  ``pair_ids`` maps a vehicle-id pair
+    to its point, and holds only pairs that can collide within the
     horizon."""
 
-    vehicle_meta: dict  # vehicle, candidates, state profiles, moving states
     singleton_ids: dict  # vehicle -> its own point, which owns its utility
     pair_ids: dict
     arrival_order: list
@@ -418,20 +417,20 @@ def build_intersection_instance(
     horizon: int | None = None,
     delta: float | None = None,
 ) -> tuple:
-    """Snapshot -> solver instance.
+    """Vehicles -> solver instance.
 
     Queued AVs choose among speed variants of their lane maneuver or wait;
     executing vehicles are frozen single-action obstacles; HVs hold a
     single action whose transition encodes the intent schedule (wait-only
-    on red).  Every vehicle's candidate variants and every HV's intent
-    weights are fixed here (the weights inside its meta's state
-    profiles), so the instance reads only build-time data: changing a
-    ``VehicleState`` afterwards does not change it.
+    on red).  The instance is plain data: every risk is a table filled
+    here, so it holds no reference to ``scenario`` or the vehicles, and
+    changing a ``VehicleState`` afterwards does not change it.
 
     A pair of vehicles with a controllable member gets a pair point only
-    when it can collide within the horizon (see ``_can_collide``): the
-    pair's risk is positive at some pair of own states the two can occupy
-    at the same step k <= h.  Every joint state the point could reach is
+    when it can collide within the horizon: its risk table (see
+    ``_pair_risk_table``) holds the joint states of two own states the
+    two can occupy at the same step k <= h, and the pair is kept when
+    some entry is positive.  Every joint state the point could reach is
     such a pair, so a dropped point has zero risk under any policy and
     owns no utility; the optimum and the fcfs plan do not change.  A step
     whose pairs all drop, for instance with only parked vehicles beside
@@ -449,8 +448,9 @@ def build_intersection_instance(
         lane_pool.setdefault(v.lane, []).append(v.priority)
     lane_mean = {lane: sum(ps) / len(ps) for lane, ps in lane_pool.items()}
 
-    meta = {}
     agents = {}
+    profiles = {}  # vehicle -> own state -> motion profile
+    moving = {}  # vehicle -> per step k, the own states that carry a profile
     for v in sorted(active, key=lambda u: u.id):
         lane = scenario.lanes[v.lane]
         transition = {}
@@ -481,11 +481,9 @@ def build_intersection_instance(
                         lane_mean[v.lane],
                         cfg.w_max,
                     )
-            candidates = list(go.values())
         elif v.kind == "av":  # committed AV, obstacle
             actions = ("continue",)
             initial = _run_chain(transition, utility, actions, scenario, v.variant, v.progression)
-            candidates = [v.variant]
         else:  # hv
             actions = ("hv",)
             weights = _hv_candidate_weights(scenario, v)
@@ -508,7 +506,6 @@ def build_intersection_instance(
                     branch[nxt] = branch.get(nxt, 0.0) + q
                 transition[(initial, "hv")] = branch
                 utility[(initial, "hv")] = 0.0
-            candidates = list(weights)
         for a in actions:
             transition[(("done",), a)] = {("done",): 1.0}
             utility[(("done",), a)] = 0.0
@@ -532,13 +529,10 @@ def build_intersection_instance(
         reach = [{initial}]
         for _ in range(horizon):
             reach.append({t for s in reach[-1] for t in successors[s]})
-        profiles = {s: _state_profiles(scenario, weights, s) for layer in reach for s in layer}
-        meta[v.id] = {
-            "vehicle": v,
-            "candidates": candidates,
-            "profiles": profiles,
-            "moving": [[s for s in layer if profiles[s]] for layer in reach],
+        profiles[v.id] = {
+            s: _state_profiles(scenario, weights, s) for layer in reach for s in layer
         }
+        moving[v.id] = [[s for s in layer if profiles[v.id][s]] for layer in reach]
 
     # interaction points: one singleton per vehicle (owns its utility), one
     # pair point per pair with a controllable member that can collide
@@ -556,30 +550,23 @@ def build_intersection_instance(
             )
         )
         singleton_ids[vid] = n
+    controllable = {v.id for v in active if v.controllable}
     pair_ids = {}
     next_id = len(points)
     for ua, ub in itertools.combinations(ids, 2):
-        va, vb = meta[ua]["vehicle"], meta[ub]["vehicle"]
-        if not (va.controllable or vb.controllable):
+        if ua not in controllable and ub not in controllable:
             continue
-        # every candidate pair's table is built here, not first inside a
-        # planning call's risk lookup
-        tables = [
-            scenario.pair_risk(ca, cb)
-            for ca in meta[ua]["candidates"]
-            for cb in meta[ub]["candidates"]
-        ]
-        if all(table is None for table in tables):
-            continue
-        risk_fn = _make_pair_risk(scenario, meta[ua], meta[ub])
-        if not _can_collide(risk_fn, meta[ua]["moving"], meta[ub]["moving"]):
+        table = _pair_risk_table(
+            scenario, profiles[ua], profiles[ub], moving[ua], moving[ub]
+        )
+        if not table:
             continue
         points.append(
             InteractionPoint(
                 id=next_id,
                 members=(ua, ub),
                 utility_owners=(False, False),
-                risk={"collision": StateRisk.from_aggregate(risk_fn)},
+                risk={"collision": StateRisk.from_aggregate(table)},
             )
         )
         pair_ids[(ua, ub)] = next_id
@@ -592,7 +579,7 @@ def build_intersection_instance(
         risk_budgets={"collision": delta},
     )
     order = sorted(active, key=lambda u: (u.arrival_s, u.id))
-    return instance, BuildInfo(meta, singleton_ids, pair_ids, [u.id for u in order])
+    return instance, BuildInfo(singleton_ids, pair_ids, [u.id for u in order])
 
 
 def _run_chain(transition, utility, actions, scenario, variant, progression):
@@ -642,36 +629,27 @@ def _state_profiles(scenario: Scenario, weights: dict | None, state) -> tuple:
     return tuple(out)
 
 
-def _make_pair_risk(scenario: Scenario, meta_a: dict, meta_b: dict):
-    """Collision risk of a joint state, read off the two vehicles' state
-    profiles cached in their build-time meta; those cover the own states
-    reachable within the horizon, which are all the layers visit."""
-    profiles_a, profiles_b = meta_a["profiles"], meta_b["profiles"]
-
-    def risk(joint_state):
-        sa, sb = joint_state
-        total = 0.0
-        for va, xa, wa in profiles_a[sa]:
-            for vb, xb, wb in profiles_b[sb]:
-                total += wa * wb * scenario.pair_lookup(va, xa, vb, xb)
-        return min(max(total, 0.0), 1.0)
-
-    return risk
-
-
-def _can_collide(risk, moving_a: list, moving_b: list) -> bool:
-    """Whether ``risk`` is positive at some pair of own states the two
-    vehicles can occupy at the same step.  ``moving_*[k]`` lists a
-    vehicle's own states at step k that carry a motion profile; the others
-    carry no risk, and the product of the own states at each step covers
-    every joint state a pair point can reach, so a pair that fails this
-    test has zero risk under every policy."""
-    return any(
-        risk((sa, sb)) > 0.0
-        for layer_a, layer_b in zip(moving_a, moving_b)
-        for sa in layer_a
-        for sb in layer_b
-    )
+def _pair_risk_table(
+    scenario: Scenario, profiles_a: dict, profiles_b: dict, moving_a: list, moving_b: list
+) -> dict:
+    """Collision risk of a vehicle pair at each joint state ``(sa, sb)``
+    of two own states that carry a motion profile at the same step:
+    ``moving_*[k]`` lists them at step k.  Those joint states are all
+    that the pair point's layers can hold with both vehicles moving, and
+    a parked or finished vehicle carries no risk, so a joint state left
+    out reads zero.  Only positive entries are stored."""
+    table = {}
+    for layer_a, layer_b in zip(moving_a, moving_b):
+        for sa in layer_a:
+            for sb in layer_b:
+                if (sa, sb) in table:
+                    continue
+                total = 0.0
+                for va, xa, wa in profiles_a[sa]:
+                    for vb, xb, wb in profiles_b[sb]:
+                        total += wa * wb * scenario.pair_lookup(va, xa, vb, xb)
+                table[(sa, sb)] = min(max(total, 0.0), 1.0)
+    return {joint: p for joint, p in table.items() if p > 0.0}
 
 
 # ---------------------------------------------------------------------------

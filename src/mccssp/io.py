@@ -6,9 +6,10 @@ following each interaction's member order.  A risk block is written as
 member pair, (state, state) -> probability) is accepted on load and
 expanded to the aggregate table at once.
 
-Only table-backed instances round-trip; domains that rely on implicit
-state containers or callable tables (the large grids) are generated in
-memory and are not meant to be serialized.
+Only table-backed instances round-trip.  Every built intersection step
+does: its risks are tables filled at build time.  The grids rely on
+implicit state containers and callable tables, are generated in memory
+and are not meant to be serialized.
 """
 
 from __future__ import annotations

@@ -42,6 +42,51 @@ def test_solve_lp_export(instance_file, tmp_path, capsys):
     assert text.startswith("Maximize") and text.rstrip().endswith("End")
 
 
+def test_lp_export_writes_the_path_model_that_decides(tmp_path, capsys):
+    from mccssp.selftest import random_path_instance
+
+    path = str(tmp_path / "paths.json")
+    save_instance(random_path_instance(np.random.default_rng(7)), path)
+    lp_path = str(tmp_path / "paths.lp")
+    assert main(["solve", path, "--export-lp", lp_path]) == 0
+    assert "decided_by paths" in capsys.readouterr().out
+    text = open(lp_path).read()
+    assert " b_0_0" in text and " x_i" not in text
+
+
+def test_lp_export_of_a_dp_decided_instance_is_the_occupancy_model(tmp_path, capsys):
+    from builders import make_chain_instance
+
+    path = str(tmp_path / "chain.json")
+    save_instance(make_chain_instance(), path)
+    lp_path = str(tmp_path / "chain.lp")
+    assert main(["solve", path, "--export-lp", lp_path]) == 0
+    assert "decided_by dp" in capsys.readouterr().out
+    text = open(lp_path).read()
+    assert " x_i0_f0_0" in text and " b_0_0" not in text
+
+
+def test_saved_intersection_step_resolves_from_the_file(small_scenario, tmp_path, capsys):
+    from mccssp.ilp import solve_instance
+    from mccssp.intersection import VehicleState, build_intersection_instance
+
+    vehicles = [
+        VehicleState(id="v00000", kind="av", lane="E0", slot=0),
+        VehicleState(id="v00001", kind="av", lane="N0", slot=0, arrival_s=1.0),
+        VehicleState(id="v00002", kind="hv", lane="S0", slot=0, true_kind="straight"),
+    ]
+    instance, _ = build_intersection_instance(
+        small_scenario, vehicles, green_side="S", horizon=2, delta=0.05
+    )
+    result = solve_instance(instance)
+    path = str(tmp_path / "step.json")
+    save_instance(instance, path)
+    assert main(["solve", path]) == 0
+    out = capsys.readouterr().out
+    assert "decided_by paths" in out
+    assert f"objective {result.objective:.6f}" in out
+
+
 def test_invalid_instance_is_input_error(tmp_path, capsys):
     inst = make_risky_safe_instance()
     path = str(tmp_path / "bad.json")
@@ -119,6 +164,22 @@ def test_intersect_sim_deterministic_output(tmp_path):
         rows = open(out_file).read().splitlines()[1:]
         outs.append([",".join(r.split(",")[:-1]) for r in rows])  # drop timing column
     assert outs[0] == outs[1]
+
+
+def test_intersect_sim_with_two_workers_writes_the_one_worker_csv(tmp_path):
+    scenario = {"mc_samples": 500, "enabled_lanes": ["N0", "E0"], "hv_fraction": 0.3}
+    spath = str(tmp_path / "scenario.json")
+    open(spath, "w").write(json.dumps(scenario))
+    outs = []
+    for jobs in ("1", "2"):
+        out_file = str(tmp_path / f"jobs{jobs}.csv")
+        assert main(["intersect-sim", spath, "--planners", "mccssp,fcfs", "--deltas", "0.05",
+                     "--horizons", "1,2", "--replications", "1", "--duration", "6",
+                     "--seed", "2", "--jobs", jobs, "--out", out_file]) == 0
+        rows = open(out_file).read().splitlines()[1:]  # drop the header comment
+        outs.append([",".join(r.split(",")[:-1]) for r in rows])  # drop mean_plan_s
+    assert len(outs[0]) == 1 + 4
+    assert outs[1] == outs[0]
 
 
 def test_bad_scenario_field_is_input_error(tmp_path, capsys):

@@ -273,7 +273,8 @@ def test_build_samples_every_pair_table_planning_needs(monkeypatch):
     inst, info = build_intersection_instance(
         scenario, [av, hv], green_side="N", horizon=1, delta=0.05
     )
-    assert len(info.vehicle_meta["v00001"]["candidates"]) == 2
+    # the HV's entry branches two ways, so both of its variants are planned
+    assert len(inst.agents["v00001"].transition[(("hv", 0), "hv")]) == 2
     calls = []
     sample = intersection.step_probability_matrix
     monkeypatch.setattr(
@@ -288,7 +289,8 @@ def test_build_samples_every_pair_table_planning_needs(monkeypatch):
 
 def test_built_instance_reads_only_build_time_data(small_scenario, monkeypatch):
     # an entering HV is ambiguous between straight and left; moving it on
-    # after the build must not change the built instance's pair risk
+    # after the build must not change the built instance's pair risk,
+    # which is a table filled by the build
     from mccssp import intersection
 
     weight_calls = []
@@ -303,8 +305,14 @@ def test_built_instance_reads_only_build_time_data(small_scenario, monkeypatch):
         small_scenario, [av, hv], green_side="N", horizon=1, delta=0.05
     )
     point = inst.interaction(info.pair_ids[("v00000", "v00001")])
+    assert not any(
+        callable(spec.table) for p in inst.interactions for spec in p.risk.values()
+    )
+    # at k=1 both are moving: the AV granted at k=0, the HV on its left branch
+    steps = small_scenario.steps_per_plan
     e0 = small_scenario.variant_key("E0", 0, "straight", "s0")
-    joint = (("run", e0, small_scenario.steps_per_plan), ("hv", 0))
+    n0 = small_scenario.variant_key("N0", 0, "left", small_scenario.config.hv_speed)
+    joint = (("run", e0, steps), ("run", n0, steps))
     before = point.state_risk("collision", joint)
     assert before > 0.1
     hv.progression, hv.slot = 12, 1
@@ -355,10 +363,27 @@ def test_simulated_steps_solve_alike_by_paths_and_occupancy(
     assert worst <= DEFAULT_MIP_REL_GAP
 
 
+class _KeptTable(dict):
+    """A pair risk table whose point is emitted even when it is empty."""
+
+    def __bool__(self):
+        return True
+
+
 def _rule_off(monkeypatch):
-    """Emit a pair point for every conflicting pair with a controllable
-    member, as if every such pair could collide within the horizon."""
-    monkeypatch.setattr(intersection, "_can_collide", lambda *args: True)
+    """Emit a pair point for every pair with a controllable member, as if
+    every such pair could collide within the horizon.  Each point's risk
+    table covers every pair of reached own states, whichever step each is
+    at, with the build's own arithmetic: a joint state that a layer holds
+    outside the build's same-step table then reads its true risk here."""
+    table = intersection._pair_risk_table
+    monkeypatch.setattr(
+        intersection,
+        "_pair_risk_table",
+        lambda scenario, pa, pb, ma, mb: _KeptTable(
+            table(scenario, pa, pb, [list(pa)], [list(pb)])
+        ),
+    )
 
 
 def test_parked_hv_on_red_gets_no_pair_point(small_scenario, monkeypatch):
@@ -491,3 +516,45 @@ def test_pruned_instances_plan_like_full_ones(small_scenario, monkeypatch, horiz
         f"h={horizon}: {len(snapshots)} steps, {dropped} pair points dropped, "
         f"{without_pairs} steps without any"
     )
+
+
+@pytest.mark.parametrize("horizon, duration", [(1, 12), (2, 6)])
+def test_built_steps_roundtrip_json_and_plan_alike(small_scenario, monkeypatch, horizon, duration):
+    # every step of a run, saved and loaded again, plans as the built one:
+    # the same mccssp result and the same step-0 action of every vehicle
+    # under both planners
+    from mccssp.io import instance_from_json, instance_to_json
+    from mccssp.oracles import fcfs_plan
+
+    built = []
+    build = intersection.build_intersection_instance
+
+    def recording_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(intersection, "build_intersection_instance", recording_build)
+    # the shared scenario fixture gets its HV share back after the test
+    monkeypatch.setattr(small_scenario.config, "hv_fraction", small_scenario.config.hv_fraction)
+    for hv in (0.0, 0.3):
+        small_scenario.config.hv_fraction = hv
+        for planner in ("mccssp", "fcfs"):
+            simulate(small_scenario, planner, duration, seed=4, horizon=horizon, delta=0.05)
+    assert len(built) >= 4 * duration
+
+    def plan(instance, info):
+        layers = reachable_layers(instance)
+        result = solve_instance(instance, layers)
+        fcfs = fcfs_plan(instance, info.arrival_order, 0.05, layers)
+        step0 = {
+            vid: (
+                result.policy.action(pid, (instance.agents[vid].initial_state,), 0),
+                fcfs.action(pid, (instance.agents[vid].initial_state,), 0),
+            )
+            for vid, pid in info.singleton_ids.items()
+        }
+        return result.status, result.decided_by, result.objective, result.risks, step0
+
+    for instance, info in built:
+        loaded = instance_from_json(instance_to_json(instance))
+        assert plan(loaded, info) == plan(instance, info)
