@@ -11,6 +11,7 @@ in the header comment).  Exit codes: 0 success, 1 validation/input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -27,9 +28,15 @@ def _versions() -> str:
     return f"mccssp={__version__} numpy={np.__version__} scipy={scipy.__version__}"
 
 
-def _csv_header(out, args_text: str, columns: list) -> None:
-    out.write(f"# mccssp {args_text} | {_versions()} | timing columns are wall-clock\n")
-    out.write(",".join(columns) + "\n")
+def _write_csv(path: str | None, columns: list, rows: list) -> None:
+    """A header comment, the column names and one line per row, to
+    ``path`` or, without one, to stdout."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
+        args_text = " ".join(sys.argv[1:])
+        out.write(f"# mccssp {args_text} | {_versions()} | timing columns are wall-clock\n")
+        out.write(",".join(columns) + "\n")
+        for row in rows:
+            out.write(",".join(str(row[c]) for c in columns) + "\n")
 
 
 class InputError(ValueError):
@@ -161,12 +168,7 @@ def cmd_grid_bench(args) -> int:
         time_limit=args.time_limit,
     )
     columns = ["n_agents", "horizon", "build_s", "solve_s", "objective", "risk", "status"]
-    out = open(args.out, "w") if args.out else sys.stdout
-    _csv_header(out, " ".join(sys.argv[1:]), columns)
-    for row in rows:
-        out.write(",".join(str(row[c]) for c in columns) + "\n")
-    if args.out:
-        out.close()
+    _write_csv(args.out, columns, rows)
     failed = [row for row in rows if row["status"] == "solver_failure"]
     for row in failed:
         print(
@@ -223,6 +225,13 @@ def cmd_intersect_sim(args) -> int:
         except Exception as exc:
             print(f"error: cannot read scenario: {exc}", file=sys.stderr)
             return 1
+    if not isinstance(overrides, dict):
+        raise InputError("scenario: expected a JSON object of scenario fields")
+    # each run's horizon, budget and HV share come from the command line only
+    for key, flag in (("horizon", "--horizons"), ("delta", "--deltas"),
+                      ("hv_fraction", "--hv-fractions")):
+        if key in overrides:
+            raise InputError(f"scenario: {key} is set by {flag}")
     try:
         config = ScenarioConfig(**overrides)
     except TypeError as exc:
@@ -254,19 +263,31 @@ def cmd_intersect_sim(args) -> int:
 
     columns = ["seed", "planner", "delta", "h", "hv_fraction", "throughput_vpm",
                "max_wait_s", "collisions", "collision_rate", "mean_plan_s"]
-    out = open(args.out, "w") if args.out else sys.stdout
-    _csv_header(out, " ".join(sys.argv[1:]), columns)
-    for row in rows:
-        out.write(",".join(str(row[c]) for c in columns) + "\n")
-    if args.out:
-        out.close()
+    _write_csv(args.out, columns, rows)
     return 0
+
+
+def _load_tubes(paths: list) -> dict:
+    """{label or path: tube} of flow-tube JSON files; a file that cannot be
+    read as a tube is an InputError that names it."""
+    from .pft import Pft
+
+    tubes = {}
+    for path in paths:
+        try:
+            with open(path) as handle:
+                tube = Pft.from_json(handle.read())
+        except KeyError as exc:
+            raise InputError(f"{path}: missing field {exc}") from None
+        except (OSError, TypeError, ValueError) as exc:
+            raise InputError(f"{path}: {exc}") from None
+        tubes[tube.label or path] = tube
+    return tubes
 
 
 def cmd_pft(args) -> int:
     from .io import load_trajectory_csv
     from .pft import (
-        Pft,
         VehicleGeometry,
         cluster_trajectories,
         dtw_align,
@@ -297,23 +318,18 @@ def cmd_pft(args) -> int:
         return 0
 
     if args.pft_command == "intent":
-        candidates = {}
-        for path in args.pft:
-            with open(path) as handle:
-                tube = Pft.from_json(handle.read())
-            candidates[tube.label or path] = tube
-        observed = load_trajectory_csv(args.observed)
+        candidates = _load_tubes(args.pft)
+        try:
+            observed = load_trajectory_csv(args.observed)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         posterior = intent_posterior(candidates, observed)
         for label, p in sorted(posterior.items(), key=lambda kv: -kv[1]):
             print(f"{label} {p:.6f}")
         return 0
 
     if args.pft_command == "risk-table":
-        maneuvers = {}
-        for path in args.pft:
-            with open(path) as handle:
-                tube = Pft.from_json(handle.read())
-            maneuvers[tube.label or path] = tube
+        maneuvers = _load_tubes(args.pft)
         geometry = VehicleGeometry(args.length, args.width)
         try:
             table = precompute_risk_table(

@@ -7,6 +7,11 @@ not from enumerating the grid, so two grids of different ambient size have
 identical local structure around the same coordinates; together with lazy
 transition/utility callables this keeps a 10000x10000 grid exactly as
 cheap as a 100x100 one.
+
+The published setup is fixed here: a move succeeds with probability
+``SUCCESS_PROB`` and otherwise leaves the robot in its cell, and a
+``LOW_UTILITY_FRACTION`` share of cells pays ``UTILITY_LOW`` per step,
+the rest ``UTILITY_HIGH``.
 """
 
 from __future__ import annotations
@@ -31,6 +36,11 @@ MOVES = {
     "south": (0, -1),
     "west": (-1, 0),
 }
+
+SUCCESS_PROB = 0.8
+LOW_UTILITY_FRACTION = 0.10
+UTILITY_LOW = 1.0
+UTILITY_HIGH = 2.0
 
 _MASK = (1 << 64) - 1
 
@@ -71,22 +81,18 @@ class GridCells:
 
 @dataclass
 class GridSpec:
-    """Benchmark parameters (defaults follow the published setup; the risky
-    cells' failure probability is not published and is exposed here)."""
+    """Benchmark parameters.  Defaults follow the published setup, whose
+    motion and utilities are the module constants; the risky cells'
+    failure probability is not published and is exposed here."""
 
     width: int = 10_000
     height: int = 10_000
     n_agents: int = 2
-    success_prob: float = 0.8
     risky_fraction: float = 0.05
     risky_risk_value: float = 0.1
-    low_utility_fraction: float = 0.10
-    utility_low: float = 1.0
-    utility_high: float = 2.0
     horizon: int = 3
     risk_budget: float = 0.2
     seed: int = 0
-    failure_mode: str = "stay"  # or "slip"
     start_positions: list | None = field(default=None)
 
     def validate(self) -> None:
@@ -95,15 +101,12 @@ class GridSpec:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed!r}")
-        for name in ("success_prob", "risky_fraction", "risky_risk_value",
-                     "low_utility_fraction", "risk_budget"):
+        for name in ("risky_fraction", "risky_risk_value", "risk_budget"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         if self.width * self.height < self.n_agents:
             raise ValueError("grid too small for the number of agents")
-        if self.failure_mode not in ("stay", "slip"):
-            raise ValueError(f"unknown failure_mode {self.failure_mode!r}")
 
 
 def _clip(spec: GridSpec, x: int, y: int) -> tuple:
@@ -114,32 +117,17 @@ def cell_is_risky(spec: GridSpec, cell: tuple) -> bool:
     return cell_u01(spec.seed, cell[0], cell[1], 1) < spec.risky_fraction
 
 def cell_utility(spec: GridSpec, cell: tuple) -> float:
-    low = cell_u01(spec.seed, cell[0], cell[1], 2) < spec.low_utility_fraction
-    return spec.utility_low if low else spec.utility_high
+    low = cell_u01(spec.seed, cell[0], cell[1], 2) < LOW_UTILITY_FRACTION
+    return UTILITY_LOW if low else UTILITY_HIGH
 
 
 def _transition(spec: GridSpec):
-    lateral = {
-        "east": ("north", "south"),
-        "west": ("north", "south"),
-        "north": ("east", "west"),
-        "south": ("east", "west"),
-    }
-
     def rows(state, action):
         x, y = state
         dx, dy = MOVES[action]
         target = _clip(spec, x + dx, y + dy)
-        out = {target: spec.success_prob}
-        fail = 1.0 - spec.success_prob
-        if spec.failure_mode == "stay":
-            slips = [state]
-        else:
-            slips = [
-                _clip(spec, x + MOVES[m][0], y + MOVES[m][1]) for m in lateral[action]
-            ]
-        for cell in slips:
-            out[cell] = out.get(cell, 0.0) + fail / len(slips)
+        out = {target: SUCCESS_PROB}
+        out[state] = out.get(state, 0.0) + (1.0 - SUCCESS_PROB)
         return out
 
     return rows

@@ -5,8 +5,10 @@ utility, and receding-horizon simulation against either planner.
 Layout is a two-lane four-sided intersection: per side an outer lane for
 going straight and an inner lane for turning left, with queue slots behind
 each stop line.  Vehicle motion is table-driven: every (lane, slot,
-maneuver kind, speed) variant owns a flow tube, and conflicting variant
-pairs own a dense progression-pair risk table computed once and cached.
+maneuver kind, speed) variant owns a flow tube.  Two variants interact
+if and only if their sampled step-probability matrix has a non-zero
+entry; such a pair owns a dense progression-pair risk table computed once
+and cached, and any other pair reads zero risk.
 
 Risk bookkeeping: a state's failure probability is the collision chance
 over the window spanning its just-traversed planning interval plus the
@@ -86,10 +88,11 @@ class Lane:
 
 @dataclass
 class ScenarioConfig:
-    """All tunable scenario parameters; defaults mirror the two-lane
-    four-sided setup with one-second horizons and 6 Hz tubes."""
+    """Scenario parameters; defaults mirror the two-lane four-sided setup
+    with one-second planning intervals and 6 Hz tubes.  The planning
+    horizon and the risk budget delta are not fields: they are arguments
+    of each run (``simulate``, ``build_intersection_instance``)."""
 
-    name: str = "two-lane-four-sided"
     box_half: float = 12.0
     lane_offset_inner: float = 1.75
     lane_offset_outer: float = 5.25
@@ -101,8 +104,6 @@ class ScenarioConfig:
     hv_speed: str = "s0"
     dt: float = 1.0
     hz: float = 6.0
-    horizon: int = 1
-    delta: float = 0.05
     lambdas: tuple = (1.0, 0.0, 0.0, 0.0)
     queue_depth: int = 1
     w_max: float = 300.0
@@ -113,7 +114,6 @@ class ScenarioConfig:
     hv_fraction: float = 0.0
     signal_cycle_s: float = 60.0
     hv_commit_fraction: float = 0.5
-    hv_true_random: bool = False
     hv_yield_threshold: float = 0.3
     deviation_rate: float = 0.0
     mc_samples: int = 2000
@@ -121,18 +121,14 @@ class ScenarioConfig:
     noise_sd: float = 0.15
     vehicle_length: float = 4.4
     vehicle_width: float = 1.9
-    conflict_reach: float = 9.0
-    conflict_risk_floor: float = 1e-5
     priority: float = 1.0
     time_limit: float | None = None
 
     def validate(self) -> None:
         """Raise ValueError on the first value a run cannot use, of a wrong
         type or out of range."""
-        for name, low in (("mc_samples", 1), ("queue_depth", 1), ("horizon", 1), ("mc_seed", 0)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name, low in (("mc_samples", 1), ("queue_depth", 1), ("mc_seed", 0)):
+            _require_int(name, getattr(self, name), low)
         for name in ("dt", "hz", "w_max", "signal_cycle_s", "box_half",
                      "vehicle_length", "vehicle_width"):
             value = getattr(self, name)
@@ -141,23 +137,19 @@ class ScenarioConfig:
         if round(self.dt * self.hz) < 1:
             raise ValueError(f"dt * hz must be at least one tube sample, got {self.dt * self.hz!r}")
         for name in ("lane_offset_inner", "lane_offset_outer", "stop_gap", "exit_margin",
-                     "headway", "conflict_reach", "arrival_rate", "noise_sd", "priority"):
+                     "headway", "arrival_rate", "noise_sd", "priority"):
             value = getattr(self, name)
             if not _finite_number(value) or value < 0:
                 raise ValueError(f"{name} must be a number >= 0, got {value!r}")
-        for name in ("delta", "hv_fraction", "hv_commit_fraction", "deviation_rate",
-                     "hv_yield_threshold", "conflict_risk_floor"):
-            value = getattr(self, name)
-            if not _finite_number(value) or not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        for name in ("hv_fraction", "hv_commit_fraction", "deviation_rate",
+                     "hv_yield_threshold"):
+            _require_unit(name, getattr(self, name))
         if self.time_limit is not None and not (
             _finite_number(self.time_limit) and self.time_limit > 0
         ):
             raise ValueError(
                 f"time_limit must be null or a positive number, got {self.time_limit!r}"
             )
-        if not isinstance(self.hv_true_random, bool):
-            raise ValueError(f"hv_true_random must be true or false, got {self.hv_true_random!r}")
         # utilities must stay >= 0, so the weights may not be negative
         if not (
             isinstance(self.lambdas, (list, tuple)) and len(self.lambdas) == 4
@@ -203,6 +195,16 @@ def _is_int(value) -> bool:
 
 def _finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _require_int(name: str, value, low: int) -> None:
+    if not _is_int(value) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _require_unit(name: str, value) -> None:
+    if not _finite_number(value) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 @dataclass
@@ -301,32 +303,25 @@ class Scenario:
         return self._tubes[variant]
 
     def pair_risk(self, va: tuple, vb: tuple) -> PairRisk | None:
-        """Risk structure for an unordered variant pair, or None when the
-        tubes never come within reach (no interaction)."""
+        """Risk structure for an unordered variant pair, or None when its
+        sampled step matrix is all zero: the pair never interacts."""
         key = (va, vb) if va <= vb else (vb, va)
         if key not in self._pairs:
             t1, t2 = self.tube(key[0]), self.tube(key[1])
-            gap = np.linalg.norm(
-                t1.means[:, None, :] - t2.means[None, :, :], axis=2
-            ).min()
-            if gap > self.config.conflict_reach and key[0] != key[1]:
-                self._pairs[key] = None
-            else:
-                digest = hashlib.md5(repr(key).encode()).digest()
-                pair_seed = int(
-                    np.random.SeedSequence(
-                        (self.config.mc_seed, int.from_bytes(digest[:8], "little"))
-                    ).generate_state(1)[0]
-                )
-                matrix = step_probability_matrix(
-                    t1, t2, self.geometry, self.geometry,
-                    n=self.config.mc_samples, seed=pair_seed,
-                )
-                table = window_risk_table(matrix, max(len(t1), len(t2)))
-                if table.max() < self.config.conflict_risk_floor and key[0] != key[1]:
-                    self._pairs[key] = None
-                else:
-                    self._pairs[key] = PairRisk(key, matrix, table)
+            digest = hashlib.md5(repr(key).encode()).digest()
+            pair_seed = int(
+                np.random.SeedSequence(
+                    (self.config.mc_seed, int.from_bytes(digest[:8], "little"))
+                ).generate_state(1)[0]
+            )
+            matrix = step_probability_matrix(
+                t1, t2, self.geometry, self.geometry,
+                n=self.config.mc_samples, seed=pair_seed,
+            )
+            self._pairs[key] = (
+                PairRisk(key, matrix, window_risk_table(matrix, max(len(t1), len(t2))))
+                if matrix.any() else None
+            )
         return self._pairs[key]
 
     def pair_lookup(self, va: tuple, axis_a: int, vb: tuple, axis_b: int) -> float:
@@ -414,10 +409,12 @@ def build_intersection_instance(
     scenario: Scenario,
     vehicles: list,
     green_side: str | None = None,
-    horizon: int | None = None,
-    delta: float | None = None,
+    *,
+    horizon: int,
+    delta: float,
 ) -> tuple:
-    """Vehicles -> solver instance.
+    """Vehicles -> solver instance over ``horizon`` steps with the risk
+    budget ``delta``.
 
     Queued AVs choose among speed variants of their lane maneuver or wait;
     executing vehicles are frozen single-action obstacles; HVs hold a
@@ -438,8 +435,6 @@ def build_intersection_instance(
     certificate decides.  Returns (instance, BuildInfo).
     """
     cfg = scenario.config
-    horizon = cfg.horizon if horizon is None else horizon
-    delta = cfg.delta if delta is None else delta
     steps = scenario.steps_per_plan
 
     active = [v for v in vehicles if v.phase != "done"]
@@ -680,22 +675,18 @@ def green_side_at(cfg: ScenarioConfig, t_s: float) -> str:
     return SIDES[int(t_s // cfg.signal_cycle_s) % len(SIDES)]
 
 
-def _spawn(scenario, vehicles, counters, lane, t_s, rng, kind, slot):
-    cfg = scenario.config
+def _spawn(scenario, vehicles, counters, lane, t_s, kind, slot):
     vid = f"v{counters['n']:05d}"
     counters["n"] += 1
-    true_kind = scenario.lanes[lane].kind
-    if kind == "hv" and cfg.hv_true_random:
-        true_kind = KINDS[int(rng.integers(2))]
     vehicles.append(
         VehicleState(
             id=vid,
             kind=kind,
             lane=lane,
             slot=slot,
-            priority=cfg.priority,
+            priority=scenario.config.priority,
             arrival_s=t_s,
-            true_kind=true_kind if kind == "hv" else None,
+            true_kind=scenario.lanes[lane].kind if kind == "hv" else None,
         )
     )
 
@@ -744,19 +735,21 @@ def simulate(
     planner: str = "mccssp",
     duration_s: float = 60.0,
     seed: int = 0,
-    horizon: int | None = None,
-    delta: float | None = None,
+    *,
+    horizon: int,
+    delta: float,
 ) -> SimMetrics:
     """Receding-horizon run: spawn, plan, commit the first interval, advance
     tubes, sample collisions, and remove departed vehicles.  ``planner`` is
-    one of PLANNERS; ``duration_s`` must be positive."""
+    one of PLANNERS; ``duration_s`` must be positive, ``horizon`` an integer
+    >= 1 and the risk budget ``delta`` a number in [0, 1]."""
     if planner not in PLANNERS:
         raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
     if not duration_s > 0:
         raise ValueError(f"duration_s must be positive, got {duration_s!r}")
+    _require_int("horizon", horizon, 1)
+    _require_unit("delta", delta)
     cfg = scenario.config
-    horizon = cfg.horizon if horizon is None else horizon
-    delta = cfg.delta if delta is None else delta
     rng = np.random.default_rng(seed)
     steps = int(round(duration_s / cfg.dt))
     metrics = SimMetrics(
@@ -796,7 +789,7 @@ def simulate(
                 draw = rng.random()  # always drawn: keeps the stream aligned
                 if rate == "always" or draw < float(rate) * cfg.dt:
                     kind = "hv" if rng.random() < cfg.hv_fraction else "av"
-                    _spawn(scenario, vehicles, counters, lane, t_s, rng, kind, queued)
+                    _spawn(scenario, vehicles, counters, lane, t_s, kind, queued)
                     spawned[lane] += 1
 
         active = [v for v in vehicles if v.phase != "done"]
@@ -907,9 +900,9 @@ def case_study_scenario(lambda2: float, **overrides) -> Scenario:
     south flow continuously while a single left-turning vehicle waits on
     the west approach.  The turn's path is co-located in time with the
     southbound stream, so the planner must pick one side; without a
-    waiting-time weight the streams' velocity utility always wins."""
+    waiting-time weight the streams' velocity utility always wins.  The
+    case study runs it at horizon 1 and delta 0.01."""
     params = dict(
-        name="waiting-time-case-study",
         speeds={"s0": 16.0},
         lane_speed_scale={"W1": 0.5},
         lambdas=(1.55, 0.0, lambda2, 0.0),
@@ -917,8 +910,6 @@ def case_study_scenario(lambda2: float, **overrides) -> Scenario:
         lane_arrival={"N0": "always", "S0": "always", "W1": "always"},
         lane_max_spawns={"W1": 1},
         arrival_rate=0.0,
-        delta=0.01,
-        horizon=1,
         queue_depth=1,
         hv_fraction=0.0,
     )

@@ -181,11 +181,13 @@ def load_trajectory_csv(path: str):
 
     rows = []
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
+            if len(parts) < 3:
+                raise ValueError(f"{path}:{lineno}: expected t,x,y, got {line!r}")
             try:
                 rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
             except ValueError:

@@ -455,7 +455,7 @@ def test_waiting_time_case_study():
     entries = {}
     for lam2 in (0.0, 4.0):
         scenario = case_study_scenario(lam2, mc_samples=1500)
-        metrics = simulate(scenario, "mccssp", duration_s=31.0, seed=0)
+        metrics = simulate(scenario, "mccssp", duration_s=31.0, seed=0, horizon=1, delta=0.01)
         ego = [step for vid, (step, lane) in metrics.entries.items() if lane == "W1"]
         entries[lam2] = ego
     assert entries[0.0] == [], "ego entered without a waiting-time weight"

@@ -167,14 +167,15 @@ def test_intersect_sim_deterministic_output(tmp_path):
 
 
 def test_intersect_sim_with_two_workers_writes_the_one_worker_csv(tmp_path):
-    scenario = {"mc_samples": 500, "enabled_lanes": ["N0", "E0"], "hv_fraction": 0.3}
+    scenario = {"mc_samples": 500, "enabled_lanes": ["N0", "E0"]}
     spath = str(tmp_path / "scenario.json")
     open(spath, "w").write(json.dumps(scenario))
     outs = []
     for jobs in ("1", "2"):
         out_file = str(tmp_path / f"jobs{jobs}.csv")
         assert main(["intersect-sim", spath, "--planners", "mccssp,fcfs", "--deltas", "0.05",
-                     "--horizons", "1,2", "--replications", "1", "--duration", "6",
+                     "--horizons", "1,2", "--hv-fractions", "0.3",
+                     "--replications", "1", "--duration", "6",
                      "--seed", "2", "--jobs", jobs, "--out", out_file]) == 0
         rows = open(out_file).read().splitlines()[1:]  # drop the header comment
         outs.append([",".join(r.split(",")[:-1]) for r in rows])  # drop mean_plan_s
@@ -186,6 +187,54 @@ def test_bad_scenario_field_is_input_error(tmp_path, capsys):
     spath = str(tmp_path / "scenario.json")
     open(spath, "w").write(json.dumps({"bogus_field": 1}))
     assert main(["intersect-sim", spath]) == 1
+    open(spath, "w").write(json.dumps(5))
+    assert main(["intersect-sim", spath]) == 1
+    assert capsys.readouterr().err.endswith("error: scenario: expected a JSON object"
+                                            " of scenario fields\n")
+
+
+@pytest.mark.parametrize("key, flag", [
+    ("delta", "--deltas"), ("horizon", "--horizons"), ("hv_fraction", "--hv-fractions"),
+])
+def test_scenario_file_may_not_set_a_run_argument(key, flag, tmp_path, monkeypatch, capsys):
+    import mccssp.cli
+
+    spath = tmp_path / "scenario.json"
+    spath.write_text(json.dumps({"enabled_lanes": ["N0", "E0"], key: 1}))
+    ran = []
+    monkeypatch.setattr(mccssp.cli, "_sim_cell", lambda job: ran.append(job))
+    assert main(["intersect-sim", str(spath), "--planners", "fcfs"]) == 1
+    assert capsys.readouterr().err == f"error: scenario: {key} is set by {flag}\n"
+    assert ran == []
+
+
+def _tube_file(tmp_path, without=None):
+    """A straight six-sample tube file, optionally with one field left out."""
+    from mccssp.pft import Pft
+
+    means = np.stack([np.arange(6) * 0.5, np.zeros(6)], axis=1)
+    tube = json.loads(Pft(1 / 6, means, np.tile(0.01 * np.eye(2), (6, 1, 1))).to_json())
+    tube.pop(without, None)
+    path = tmp_path / "tube.json"
+    path.write_text(json.dumps(tube))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["pft", "intent", "--observed", "unread.csv", "--pft"],
+    ["pft", "risk-table", "--out", "unwritten.npz", "--pft"],
+])
+def test_pft_commands_report_a_malformed_tube_file(command, tmp_path, capsys):
+    path = _tube_file(tmp_path, without="covariances")
+    assert main([*command, path]) == 1
+    assert capsys.readouterr().err == f"error: {path}: missing field 'covariances'\n"
+
+
+def test_pft_intent_reports_a_short_trajectory_row(tmp_path, capsys):
+    track = tmp_path / "track.csv"
+    track.write_text("t,x,y\n0.0,0.0,0.0\n0.2,0.5\n")
+    assert main(["pft", "intent", "--pft", _tube_file(tmp_path), "--observed", str(track)]) == 1
+    assert capsys.readouterr().err == f"error: {track}:3: expected t,x,y, got '0.2,0.5'\n"
 
 
 def test_pft_pipeline(tmp_path, capsys):
@@ -358,7 +407,7 @@ def test_grid_bench_solver_failure_writes_every_row_then_exits_2(tmp_path, monke
 
 
 @pytest.mark.parametrize("override", [
-    {"mc_samples": 0}, {"queue_depth": 0}, {"mc_samples": "abc"}, {"horizon": None},
+    {"mc_samples": 0}, {"queue_depth": 0}, {"mc_samples": "abc"}, {"dt": None},
     {"queue_depth": 1.5}, {"speeds": [8]}, {"lambdas": [1.0, 0.0]}, {"priority": "high"},
     {"noise_sd": -1}, {"lane_arrival": {"N0": "sometimes"}}, {"enabled_lanes": ["X9"]},
 ])
@@ -385,8 +434,11 @@ def test_intersect_sim_accepts_every_default_scenario_value(tmp_path):
 
     from mccssp.intersection import ScenarioConfig
 
+    # every value but the HV share, which --hv-fractions sets
+    defaults = asdict(ScenarioConfig())
+    del defaults["hv_fraction"]
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(asdict(ScenarioConfig())))
+    path.write_text(json.dumps(defaults))
     out_file = str(tmp_path / "sim.csv")
     argv = ["intersect-sim", str(path), "--planners", "fcfs", "--replications", "1",
             "--duration", "3", "--out", out_file]

@@ -71,19 +71,15 @@ def test_riskless_grid_matches_value_iteration():
     assert abs(result.objective - dp_optimal_utility(inst, layers)) < 1e-9
 
 
-def test_transition_semantics_stay_and_slip():
-    for mode in ("stay", "slip"):
-        spec = GridSpec(width=9, height=9, n_agents=1, horizon=1, seed=0,
-                        failure_mode=mode, start_positions=[(4, 4)])
-        inst = generate_grid_instance(spec)
-        row = inst.agents["r0"].successors((4, 4), "north")
-        assert abs(sum(row.values()) - 1.0) < 1e-12
-        assert abs(row[(4, 5)] - 0.8) < 1e-12
-        if mode == "stay":
-            assert abs(row[(4, 4)] - 0.2) < 1e-12
-        else:
-            assert abs(row[(3, 4)] - 0.1) < 1e-12
-            assert abs(row[(5, 4)] - 0.1) < 1e-12
+def test_transition_semantics_stay():
+    # a failed move leaves the robot in its own cell
+    spec = GridSpec(width=9, height=9, n_agents=1, horizon=1, seed=0,
+                    start_positions=[(4, 4)])
+    agent = generate_grid_instance(spec).agents["r0"]
+    assert agent.successors((4, 4), "north") == {(4, 5): 0.8, (4, 4): 1.0 - 0.8}
+    assert agent.successors((4, 4), "west") == {(3, 4): 0.8, (4, 4): 1.0 - 0.8}
+    # at the border the move is clipped to the own cell, which gets both shares
+    assert agent.successors((8, 4), "east") == {(8, 4): 0.8 + (1.0 - 0.8)}
 
 
 def test_boundary_moves_clip():
@@ -131,8 +127,8 @@ def test_benchmark_rows_columns_and_sizes():
 def test_width_height_capacity_validation():
     with pytest.raises(ValueError):
         GridSpec(width=1, height=1, n_agents=2).validate()
-    with pytest.raises(ValueError):
-        GridSpec(success_prob=1.2).validate()
+    with pytest.raises(ValueError, match="risk_budget"):
+        GridSpec(risk_budget=1.2).validate()
     with pytest.raises(ValueError, match="risky_risk_value"):
         GridSpec(risky_risk_value=1.5).validate()
 

@@ -51,6 +51,25 @@ def test_opposing_straights_do_not_conflict(small_scenario):
     assert small_scenario.pair_risk(n0, s0) is None
 
 
+def test_a_variant_pair_interacts_iff_its_sampled_matrix_is_non_zero(small_scenario):
+    cfg = small_scenario.config
+    variants = sorted(
+        small_scenario.variant_key(lane, slot, kind, speed)
+        for lane in small_scenario.lanes
+        for slot in range(cfg.queue_depth)
+        for kind in intersection.KINDS
+        for speed in cfg.speeds
+    )
+    pairs = [
+        small_scenario.pair_risk(va, vb)
+        for n, va in enumerate(variants)
+        for vb in variants[n:]
+    ]
+    assert len(pairs) == 136
+    assert sum(pair is None for pair in pairs) == 19
+    assert all(pair.matrix.any() for pair in pairs if pair is not None)
+
+
 def test_crossing_pair_conflicts(small_scenario):
     n0 = small_scenario.variant_key("N0", 0, "straight", "s0")
     e0 = small_scenario.variant_key("E0", 0, "straight", "s0")
@@ -325,9 +344,25 @@ def test_simulate_rejects_unknown_planner_and_empty_duration(small_scenario):
     # no AV arrives in this run, so no step would ever reach the planner
     scenario = default_scenario(mc_samples=600, hv_fraction=1.0, enabled_lanes=("N0",))
     with pytest.raises(ValueError, match="unknown planner 'bogus'"):
-        simulate(scenario, "bogus", duration_s=6, seed=1)
+        simulate(scenario, "bogus", duration_s=6, seed=1, horizon=1, delta=0.05)
     with pytest.raises(ValueError, match="duration_s must be positive"):
-        simulate(small_scenario, "fcfs", duration_s=0)
+        simulate(small_scenario, "fcfs", duration_s=0, horizon=1, delta=0.05)
+
+
+@pytest.mark.parametrize("horizon, delta, message", [
+    (0, 0.05, "horizon must be an integer >= 1, got 0"),
+    (1.0, 0.05, "horizon must be an integer >= 1, got 1.0"),
+    (1, 1.5, r"delta must be a number in \[0, 1\], got 1.5"),
+])
+def test_simulate_rejects_a_bad_horizon_or_budget_before_any_step(
+    small_scenario, monkeypatch, horizon, delta, message
+):
+    builds = []
+    monkeypatch.setattr(intersection, "build_intersection_instance",
+                        lambda *args, **kwargs: builds.append(args))
+    with pytest.raises(ValueError, match=message):
+        simulate(small_scenario, "mccssp", duration_s=6, seed=1, horizon=horizon, delta=delta)
+    assert builds == []
 
 
 # at h=2 the occupancy MIP takes up to 4 s on a step with full queues

@@ -167,3 +167,10 @@ def test_trajectory_csv_loader(tmp_path):
     empty.write_text("t,x,y\n")
     with pytest.raises(ValueError):
         load_trajectory_csv(str(empty))
+
+
+def test_trajectory_csv_with_two_columns_is_an_error_naming_the_file(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("t,x\n0.0,1.0\n")
+    with pytest.raises(ValueError, match=r"two\.csv:1: expected t,x,y"):
+        load_trajectory_csv(str(path))
