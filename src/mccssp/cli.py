@@ -40,7 +40,7 @@ def _write_csv(path: str | None, columns: list, rows: list) -> None:
 
 
 class InputError(ValueError):
-    """A bad command-line argument; reported as ``error: ...``, exit 1."""
+    """A bad command-line argument or input file; reported as ``error: ...``, exit 1."""
 
 
 def _parse_range(text: str, option: str) -> list:
@@ -86,8 +86,7 @@ def cmd_solve(args) -> int:
     try:
         instance = load_instance(args.instance)
     except Exception as exc:
-        print(f"error: cannot load instance: {exc}", file=sys.stderr)
-        return 1
+        raise InputError(f"cannot load instance: {exc}") from None
     report = validate_instance(instance)
     if report:
         for line in report:
@@ -223,8 +222,7 @@ def cmd_intersect_sim(args) -> int:
             with open(args.scenario) as handle:
                 overrides = json.load(handle)
         except Exception as exc:
-            print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-            return 1
+            raise InputError(f"cannot read scenario: {exc}") from None
     if not isinstance(overrides, dict):
         raise InputError("scenario: expected a JSON object of scenario fields")
     # each run's horizon, budget and HV share come from the command line only
@@ -235,8 +233,7 @@ def cmd_intersect_sim(args) -> int:
     try:
         config = ScenarioConfig(**overrides)
     except TypeError as exc:
-        print(f"error: bad scenario field: {exc}", file=sys.stderr)
-        return 1
+        raise InputError(f"bad scenario field: {exc}") from None
     try:
         config.validate()
     except ValueError as exc:
@@ -299,9 +296,8 @@ def cmd_pft(args) -> int:
     if args.pft_command == "fit":
         try:
             trajectories = [load_trajectory_csv(p) for p in args.csv]
-        except Exception as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        except (OSError, ValueError) as exc:
+            raise InputError(str(exc)) from None
         clusters = cluster_trajectories(
             trajectories, distance_threshold=args.cluster_threshold,
             variance_threshold=args.variance_threshold,
@@ -328,22 +324,18 @@ def cmd_pft(args) -> int:
             print(f"{label} {p:.6f}")
         return 0
 
-    if args.pft_command == "risk-table":
-        maneuvers = _load_tubes(args.pft)
-        geometry = VehicleGeometry(args.length, args.width)
-        try:
-            table = precompute_risk_table(
-                maneuvers, geometry, n=args.samples, seed=args.seed, window=args.window
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        table.save(args.out)
-        print(f"table {table.axis_sizes} (window {table.window}) -> {args.out}")
-        return 0
-
-    print("unknown pft subcommand", file=sys.stderr)
-    return 1
+    # risk-table: argparse requires one of the three subcommands
+    maneuvers = _load_tubes(args.pft)
+    geometry = VehicleGeometry(args.length, args.width)
+    try:
+        table = precompute_risk_table(
+            maneuvers, geometry, n=args.samples, seed=args.seed, window=args.window
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    table.save(args.out)
+    print(f"table {table.axis_sizes} (window {table.window}) -> {args.out}")
+    return 0
 
 
 def cmd_selftest(args) -> int:

@@ -19,9 +19,11 @@ interaction with two or more decision agents, marginal rows tying each
 member's paths to its binaries, and one risk row per criterion whose
 coefficients are the execution risks of the path combinations.
 
-Each model is assembled once, as one CSR matrix with row bounds; every
-column is bounded to [0, 1], and row and column names exist only in LP
-export.
+Each model is assembled once, from (row, col, value) triplets into one
+CSR matrix with row bounds (``MatrixForm.from_triplets``); every column is
+bounded to [0, 1], and row and column names exist only in LP export.  One
+function, ``_highs_verdict``, runs HiGHS on either model and reads back,
+checks and packages its answer; only reading the solution differs.
 """
 
 from __future__ import annotations
@@ -79,6 +81,22 @@ class MatrixForm:
     integrality: np.ndarray
     col_blocks: tuple = ()
     row_blocks: tuple = ()
+
+    @classmethod
+    def from_triplets(
+        cls, row_ix, col_ix, vals, lower, upper, objective, integrality, col_blocks, row_blocks
+    ) -> MatrixForm:
+        """The model whose nonzeros are the (row, col, value) triplets, one
+        row per bound pair and one column per objective entry."""
+        return cls(
+            a=sparse.csr_matrix((vals, (row_ix, col_ix)), shape=(len(lower), len(objective))),
+            row_lower=np.array(lower),
+            row_upper=np.array(upper),
+            objective=np.array(objective, dtype=float),
+            integrality=np.array(integrality),
+            col_blocks=tuple(col_blocks),
+            row_blocks=tuple(row_blocks),
+        )
 
     @property
     def n_cols(self) -> int:
@@ -226,14 +244,12 @@ def _occupancy_columns(instance: MccSspInstance, layers: LayeredSpace) -> int:
     ) + sum(len(instance.agents[v].actions) for v, _, _ in shared)
 
 
-def build_ilp(instance: MccSspInstance, layers: LayeredSpace | None = None) -> IlpModel:
+def build_ilp(instance: MccSspInstance, layers: LayeredSpace) -> IlpModel:
     """Assemble the exact formulation over reachable layers.
 
     Raises BudgetExhausted when the initial states' summed intrinsic risk
     already exceeds a budget.
     """
-    if layers is None:
-        layers = reachable_layers(instance)
     criteria = instance.criteria
     flow_ids = (None,) + criteria  # None is the utility flow
     n_flows = len(flow_ids)
@@ -360,14 +376,9 @@ def build_ilp(instance: MccSspInstance, layers: LayeredSpace | None = None) -> I
     col_blocks.append((("y",), n_cols - x_count - z_count))
     row_blocks.append((("cons",), len(lower) - cons_start))
 
-    matrix = MatrixForm(
-        a=sparse.csr_matrix((vals, (row_ix, col_ix)), shape=(len(lower), n_cols)),
-        row_lower=np.array(lower),
-        row_upper=np.array(upper),
-        objective=np.array(objective, dtype=float),
-        integrality=np.array([0] * x_count + [1] * (n_cols - x_count)),
-        col_blocks=tuple(col_blocks),
-        row_blocks=tuple(row_blocks),
+    matrix = MatrixForm.from_triplets(
+        row_ix, col_ix, vals, lower, upper, objective,
+        [0] * x_count + [1] * (n_cols - x_count), col_blocks, row_blocks,
     )
     return IlpModel(instance, layers, criteria, x_start, x_count, z_count, matrix)
 
@@ -441,25 +452,22 @@ def _open_loop_steps(instance: MccSspInstance, layers_i, chosen: dict) -> list:
     )))
 
 
-def build_path_model(
-    instance: MccSspInstance, layers: LayeredSpace | None = None
-) -> PathModel | None:
+def build_path_model(instance: MccSspInstance, layers: LayeredSpace) -> PathModel | None:
     """The path formulation, or None where it does not apply.
 
-    It applies when some agent belongs to two or more interactions, every
-    agent with more than one action has deterministic own transitions and
-    belongs to two or more interactions or is alone in its only one, and
-    the model has no more columns than ``build_ilp``'s.  Such an agent is
-    bound to one action per (own state, time): by the consistency rows
-    where it is shared, and trivially where it is alone.  Its policy is
-    then an open-loop path, and the occupancy optimum is the best
-    combination of paths within the budgets.  Single-action agents follow
-    their only action, and may branch.
+    It applies when some agent belongs to two or more interactions, some
+    agent has more than one action, every such agent has deterministic own
+    transitions and belongs to two or more interactions or is alone in its
+    only one, and the model has no more columns than ``build_ilp``'s.  Such
+    an agent is bound to one action per (own state, time): by the
+    consistency rows where it is shared, and trivially where it is alone.
+    Its policy is then an open-loop path, and the occupancy optimum is the
+    best combination of paths within the budgets.  Single-action agents
+    follow their only action, and may branch.  So every path model has a
+    column; an instance where no agent has a choice goes to ``build_ilp``.
 
     Raises BudgetExhausted as ``build_ilp`` does.
     """
-    if layers is None:
-        layers = reachable_layers(instance)
     points_of = {}
     for point in instance.interactions:
         for v in point.members:
@@ -478,6 +486,8 @@ def build_path_model(
         paths[v] = _agent_paths(agent, instance.horizon, limit)
         if paths[v] is None:
             return None
+    if not paths:
+        return None
     groups = [[v for v in layers_i.members if v in paths] for layers_i in layers]
     n_b = sum(map(len, paths.values()))
     n_w = sum(math.prod(len(paths[v]) for v in group) for group in groups if len(group) > 1)
@@ -540,15 +550,9 @@ def build_path_model(
                     col_ix.append(col)
                     vals.append(r)
 
-    n_cols = len(objective)
-    matrix = MatrixForm(
-        a=sparse.csr_matrix((vals, (row_ix, col_ix)), shape=(len(lower), n_cols)),
-        row_lower=np.array(lower),
-        row_upper=np.array(upper),
-        objective=np.array(objective, dtype=float),
-        integrality=np.array([1] * n_b + [0] * (n_cols - n_b)),
-        col_blocks=tuple(col_blocks),
-        row_blocks=tuple(row_blocks),
+    matrix = MatrixForm.from_triplets(
+        row_ix, col_ix, vals, lower, upper, objective,
+        [1] * n_b + [0] * (len(objective) - n_b), col_blocks, row_blocks,
     )
     return PathModel(instance, layers, criteria, paths, b_start, model_points, matrix)
 
@@ -561,24 +565,14 @@ class ScipyHighsBackend:
     """HiGHS through scipy.optimize.milp, with the feasibility-jump
     heuristic off: it costs about 8 ms on every model that reaches the
     branch-and-bound root, and on time-limited occupancy solves it found
-    no incumbent that HiGHS missed without it."""
+    no incumbent that HiGHS missed without it.  ``_highs_verdict`` is its
+    one caller in the library."""
 
     def solve(self, matrix: MatrixForm, time_limit: float | None = None):
         """Returns (status, x, objective), status one of optimal, infeasible
         or time_limit (x is the incumbent, or None when there is none);
-        anything else is a failure.  A model without columns is feasible
-        when every row's bounds admit 0 within RISK_VERIFY_SLACK."""
-        if matrix.n_cols == 0:
-            if np.all(matrix.row_lower <= RISK_VERIFY_SLACK) and np.all(
-                matrix.row_upper >= -RISK_VERIFY_SLACK
-            ):
-                return "optimal", np.zeros(0), 0.0
-            return "infeasible", None, float("nan")
-        constraints = []
-        if matrix.n_rows:
-            constraints = [
-                scipy.optimize.LinearConstraint(matrix.a, matrix.row_lower, matrix.row_upper)
-            ]
+        anything else is a failure.  Every model the builders make has
+        columns and rows."""
         options = {
             "mip_rel_gap": DEFAULT_MIP_REL_GAP,
             "presolve": True,
@@ -594,7 +588,9 @@ class ScipyHighsBackend:
             )
             res = scipy.optimize.milp(
                 c=-matrix.objective,
-                constraints=constraints,
+                constraints=scipy.optimize.LinearConstraint(
+                    matrix.a, matrix.row_lower, matrix.row_upper
+                ),
                 integrality=matrix.integrality,
                 bounds=scipy.optimize.Bounds(0, 1),
                 options=options,
@@ -641,18 +637,13 @@ def extract_policy(model: IlpModel, x: np.ndarray) -> Policy:
 
 def solve(model: IlpModel | PathModel, time_limit: float | None = None) -> SolveResult:
     """Decide a built model and read back the policy and post-hoc risk
-    evaluation.  HiGHS decides a path model.  For an occupancy model
-    the backward-DP certificate decides first where it applies; otherwise
-    HiGHS does.  HiGHS's optimal results are verified against the budgets.
-    A time-out without incumbent falls back to the default-action policy
-    when that fits every budget."""
+    evaluation.  For an occupancy model the backward-DP certificate
+    decides first where it applies; HiGHS decides everything else (see
+    ``_highs_verdict``)."""
     start = time.perf_counter()
-    if isinstance(model, PathModel):
-        result = _solve_paths(model, time_limit)
-    else:
-        result = _dp_certificate(model)
-        if result is None:
-            result = _solve_mip(model, time_limit)
+    result = None if isinstance(model, PathModel) else _dp_certificate(model)
+    if result is None:
+        result = _highs_verdict(model, time_limit)
     result.solve_seconds = time.perf_counter() - start
     return result
 
@@ -699,13 +690,36 @@ def _dp_certificate(model: IlpModel) -> SolveResult | None:
     )
 
 
-def _solve_mip(model: IlpModel, time_limit) -> SolveResult:
+def _highs_verdict(model: IlpModel | PathModel, time_limit) -> SolveResult:
+    """HiGHS's answer on a built model, read back and checked.  An optimal
+    policy over a budget by more than RISK_VERIFY_SLACK is a SolverFailure;
+    a time-out without incumbent falls back to the default-action policy.
+    Only reading the solution depends on the formulation."""
+    paths = isinstance(model, PathModel)
+    decided_by = "paths" if paths else "mip"
     status, x, objective = ScipyHighsBackend().solve(model.matrix, time_limit)
     if status == "infeasible":
-        return SolveResult(status="infeasible", decided_by="mip")
+        return SolveResult(status="infeasible", decided_by=decided_by)
     if x is None:
         return _default_action_fallback(model)
+    objective, policy, flows = (_read_paths if paths else _read_occupancy)(model, x, objective)
+    risks = {j: execution_risk(model.instance, model.layers, policy, j) for j in model.criteria}
+    if status == "optimal":
+        budgets = model.instance.risk_budgets
+        for j, value in risks.items():
+            if value > budgets[j] + RISK_VERIFY_SLACK:
+                raise SolverFailure(
+                    f"extracted policy violates budget {j!r}: {value} > {budgets[j]}"
+                )
+    return SolveResult(
+        status=status, objective=objective, policy=policy, flows=flows, risks=risks,
+        decided_by=decided_by,
+    )
 
+
+def _read_occupancy(model: IlpModel, x: np.ndarray, objective: float) -> tuple:
+    """(objective, policy, flows) of an occupancy solution: HiGHS's
+    objective, the max-flow policy and the nonzero flows."""
     policy = extract_policy(model, x)
     flows = {}
     for fn, j in enumerate((None,) + model.criteria):
@@ -715,43 +729,13 @@ def _solve_mip(model: IlpModel, time_limit) -> SolveResult:
                 if abs(v) > 1e-12:
                     per[(i, k, s, a)] = v
         flows[j] = per
-    return SolveResult(
-        status=status,
-        objective=float(objective),
-        policy=policy,
-        flows=flows,
-        risks=_verified_risks(model, policy, status),
-        decided_by="mip",
-    )
+    return float(objective), policy, flows
 
 
-def _verified_risks(model, policy: Policy, status: str) -> dict:
-    """Execution risk of a policy read off HiGHS's solution, per criterion;
-    an optimal one over a budget by more than RISK_VERIFY_SLACK is a
-    SolverFailure."""
-    risks = {
-        j: execution_risk(model.instance, model.layers, policy, j)
-        for j in model.criteria
-    }
-    if status == "optimal":
-        for j, value in risks.items():
-            if value > model.instance.risk_budgets[j] + RISK_VERIFY_SLACK:
-                raise SolverFailure(
-                    f"extracted policy violates budget {j!r}: "
-                    f"{value} > {model.instance.risk_budgets[j]}"
-                )
-    return risks
-
-
-def _solve_paths(model: PathModel, time_limit) -> SolveResult:
-    """HiGHS picks one path per decision agent; the policy follows the
-    chosen paths at every interaction, and its objective is the sum of the
-    chosen combinations' utilities."""
-    status, x, _ = ScipyHighsBackend().solve(model.matrix, time_limit)
-    if status == "infeasible":
-        return SolveResult(status="infeasible", decided_by="paths")
-    if x is None:
-        return _default_action_fallback(model)
+def _read_paths(model: PathModel, x: np.ndarray, _objective: float) -> tuple:
+    """(objective, policy, no flows) of a path solution: one path per
+    decision agent, followed at every interaction; the objective is the sum
+    of the chosen combinations' utilities."""
     xs = x.tolist()
     chosen = {
         v: max(range(len(paths)), key=lambda p: xs[model.b_start[v] + p])
@@ -764,11 +748,7 @@ def _solve_paths(model: PathModel, time_limit) -> SolveResult:
             model.instance, layers_i, {v: model.paths[v][chosen[v]] for v in group}
         )
         assignments[layers_i.id] = {(s, k): steps[k] for k, s in layers_i.decision_points()}
-    policy = Policy(assignments)
-    risks = _verified_risks(model, policy, status)
-    return SolveResult(
-        status=status, objective=utility, policy=policy, risks=risks, decided_by="paths"
-    )
+    return utility, Policy(assignments), {}
 
 
 def _default_action_fallback(model: IlpModel | PathModel) -> SolveResult:

@@ -175,11 +175,22 @@ def save_instance(instance: MccSspInstance, path: str) -> None:
         handle.write(instance_to_json(instance))
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def load_trajectory_csv(path: str):
-    """Trajectory CSV with one `t,x,y` row per sample (header optional)."""
+    """Trajectory CSV with one `t,x,y` row per sample.  Blank lines and `#`
+    comments are skipped, and so is a header: the first other line, when
+    none of its first three fields is a number.  Any other row that is not
+    three numbers is a ValueError naming the file and line."""
     import numpy as np
 
-    rows = []
+    rows, first = [], True
     with open(path) as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
@@ -188,10 +199,16 @@ def load_trajectory_csv(path: str):
             parts = line.split(",")
             if len(parts) < 3:
                 raise ValueError(f"{path}:{lineno}: expected t,x,y, got {line!r}")
+            header = first and not any(map(_is_number, parts[:3]))
+            first = False
+            if header:
+                continue
             try:
                 rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
             except ValueError:
-                continue  # header line
+                raise ValueError(
+                    f"{path}:{lineno}: expected numbers t,x,y, got {line!r}"
+                ) from None
     if not rows:
         raise ValueError(f"no trajectory samples in {path}")
     rows.sort(key=lambda r: r[0])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InteractionLayers, LayeredSpace, MccSspInstance, reachable_layers, skey
+from .model import InteractionLayers, LayeredSpace, MccSspInstance, skey
 from .risk import Policy, evaluate_table, interaction_execution_risk
 
 
@@ -275,7 +275,7 @@ def _pareto_prune(cands):
 
 def brute_force_optimal(
     instance: MccSspInstance,
-    layers: LayeredSpace | None = None,
+    layers: LayeredSpace,
     cap: int = 10_000_000,
 ) -> BruteForceResult:
     """Feasible deterministic-policy maximizer by exhaustive enumeration.
@@ -285,8 +285,6 @@ def brute_force_optimal(
     search over per-interaction candidates.  Ties favor the earliest
     assignment in lexicographic enumeration order.
     """
-    if layers is None:
-        layers = reachable_layers(instance)
     criteria = instance.criteria
     budgets = np.array([instance.risk_budgets[j] for j in criteria])
 
@@ -398,7 +396,7 @@ def fcfs_plan(
     instance: MccSspInstance,
     arrival_order: list,
     per_action_bound: float,
-    layers: LayeredSpace | None = None,
+    layers: LayeredSpace,
 ) -> Policy:
     """Grant agents their best action in arrival order under a per-action
     risk bound.
@@ -410,8 +408,6 @@ def fcfs_plan(
     prefer the lower speed.  Agents with a single action are committed
     as-is (uncontrollable traffic).
     """
-    if layers is None:
-        layers = reachable_layers(instance)
     # uncontrollable agents (obstacles, scripted traffic) are facts, not
     # requests: their single action is granted before any queued agent
     granted: dict = {

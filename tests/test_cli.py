@@ -237,6 +237,16 @@ def test_pft_intent_reports_a_short_trajectory_row(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {track}:3: expected t,x,y, got '0.2,0.5'\n"
 
 
+def test_pft_fit_reports_a_corrupt_trajectory_row(tmp_path, capsys):
+    track = tmp_path / "track.csv"
+    track.write_text("t,x,y\n0.0,0.0,0.0\n0.2,abc,1.0\n0.4,1.0,1.0\n")
+    assert main(["pft", "fit", str(track), "--out-prefix", str(tmp_path / "pft_")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {track}:3: expected numbers t,x,y, got '0.2,abc,1.0'\n"
+    )
+    assert not list(tmp_path.glob("pft_*"))
+
+
 def test_pft_pipeline(tmp_path, capsys):
     rng = np.random.default_rng(0)
     base = np.stack([np.linspace(0, 10, 15), np.zeros(15)], axis=1)

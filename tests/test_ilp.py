@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy import sparse
 from scipy.optimize._highspy._core import HighsStatus, _Highs
 
 from builders import make_chain_instance, make_risky_safe_instance
@@ -13,10 +12,10 @@ from mccssp.grid import GridSpec, generate_grid_instance
 from mccssp.ilp import (
     RISK_VERIFY_SLACK,
     BudgetExhausted,
-    MatrixForm,
     ScipyHighsBackend,
     SolverFailure,
     build_ilp,
+    build_model,
     build_path_model,
     solve,
     solve_instance,
@@ -33,7 +32,7 @@ from mccssp.risk import execution_risk, linear_risk_from_flows, policy_flows
 
 
 def test_variable_counts_match_closed_form(risky_safe):
-    model = build_ilp(risky_safe)
+    model = build_ilp(risky_safe, reachable_layers(risky_safe))
     # (|J|+1) * sum_i sum_k |layer| * |A| and the same without the flows
     assert model.x_count == 4
     assert model.z_count == 2
@@ -55,7 +54,7 @@ def test_budget_exhausted_when_initial_risk_exceeds_budget():
     )
     inst = MccSspInstance({"v": agent}, (point,), 1, {"j": 0.1})
     with pytest.raises(BudgetExhausted):
-        build_ilp(inst)
+        build_ilp(inst, reachable_layers(inst))
     assert solve_instance(inst).status == "budget_exhausted"
 
 
@@ -119,7 +118,8 @@ def _shared_agent_instance():
 
 
 def test_consistency_variables_for_shared_agents():
-    model = build_ilp(_shared_agent_instance())
+    inst = _shared_agent_instance()
+    model = build_ilp(inst, reachable_layers(inst))
     cons_rows = [r for r in model.matrix.rows if r[0].startswith("cons_")]
     y_cols = [n for n in model.matrix.col_names if n.startswith("y_")]
     assert len(y_cols) == 2  # one selector per shared-agent action
@@ -164,7 +164,8 @@ BINDING = dict(width=50, height=50, risky_fraction=0.3, risky_risk_value=0.3,
     ids=["riskless-chain", "risky-safe-h2", "shared-agent", "binding-grid"],
 )
 def test_lp_export_reads_back_into_highs(make, tmp_path):
-    matrix = build_ilp(make()).matrix
+    inst = make()
+    matrix = build_ilp(inst, reachable_layers(inst)).matrix
     path = tmp_path / "model.lp"
     path.write_text(matrix.to_lp_text())
     highs = _Highs()
@@ -205,7 +206,7 @@ def test_shared_stochastic_agent_goes_to_the_occupancy_mip():
         transition={(s, a): {0: 0.5, 1: 0.5} for s in (0, 1) for a in ("x", "y")},
     )
     inst = dataclasses.replace(inst, agents={**inst.agents, "s": coin})
-    assert build_path_model(inst) is None
+    assert build_path_model(inst, reachable_layers(inst)) is None
     result, _ = _certified(inst)
     assert (result.status, result.decided_by) == ("optimal", "mip")
 
@@ -241,22 +242,13 @@ def test_extracted_policy_deterministic_and_default_on_zero_flow():
 
 
 def test_matrix_adapter_counts_and_roundtrip(risky_safe):
-    matrix = build_ilp(risky_safe).matrix
+    matrix = build_ilp(risky_safe, reachable_layers(risky_safe)).matrix
     assert matrix.n_cols == 6  # 4 continuous + 2 binary
     assert sum(matrix.integrality) == 2
 
 
-def test_empty_model_has_no_rows_or_columns():
-    matrix = MatrixForm(
-        sparse.csr_matrix((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=int)
-    )
-    assert matrix.n_cols == 0 and matrix.n_rows == 0
-    status, x, objective = ScipyHighsBackend().solve(matrix)
-    assert status == "optimal" and objective == 0.0
-
-
 def test_lp_text_export(risky_safe):
-    model = build_ilp(risky_safe)
+    model = build_ilp(risky_safe, reachable_layers(risky_safe))
     text = model.matrix.to_lp_text()
     assert text.startswith("Maximize")
     assert "Binaries" in text and "End" in text
@@ -289,7 +281,8 @@ def test_ilp_dimensions_invariant_to_ambient_grid():
             width=width, height=width, n_agents=2, horizon=2, seed=5,
             start_positions=[(40, 40), (60, 60)],
         )
-        model = build_ilp(generate_grid_instance(spec))
+        inst = generate_grid_instance(spec)
+        model = build_ilp(inst, reachable_layers(inst))
         shapes[width] = (model.x_count, model.z_count, model.matrix.n_rows)
     assert shapes[100] == shapes[10_000]
 
@@ -310,7 +303,8 @@ def _path_family(n, seed=7):
 
 def test_path_model_of_the_shared_agent_instance():
     # "s" has two actions to the same successor: one path, the better one
-    model = build_path_model(_shared_agent_instance())
+    inst = _shared_agent_instance()
+    model = build_path_model(inst, reachable_layers(inst))
     assert model.paths == {"s": [((0, 1), ("x",))]}
     assert (model.matrix.n_cols, int(model.matrix.integrality.sum())) == (1, 1)
     result = solve(model)
@@ -328,14 +322,14 @@ def test_path_model_keeps_the_budget_exhausted_check():
         inst, interactions=(point, inst.interactions[1]), risk_budgets={"j": 0.4}
     )
     with pytest.raises(BudgetExhausted):
-        build_path_model(inst)
+        build_path_model(inst, reachable_layers(inst))
     assert solve_instance(inst).status == "budget_exhausted"
 
 
 @pytest.mark.parametrize("budget, status", [(0.3, "infeasible"), (0.5, "optimal")])
 def test_constant_only_path_model_is_checked_against_the_budget(budget, status):
-    # a single-action shared agent and no decision: every model column is
-    # gone, and the risk 0.4 reached after one step is all that is left
+    # a single-action shared agent and no decision: there is no path model,
+    # and the occupancy MIP weighs the risk 0.4 reached after one step
     inst = _shared_agent_instance()
     fixed = dataclasses.replace(
         inst.agents["s"], actions=("x",),
@@ -349,10 +343,45 @@ def test_constant_only_path_model_is_checked_against_the_budget(budget, status):
         inst, agents={**inst.agents, "s": fixed},
         interactions=(inst.interactions[0], point), risk_budgets={"j": budget},
     )
-    model = build_path_model(inst)
-    assert model.matrix.n_cols == 0
+    assert build_path_model(inst, reachable_layers(inst)) is None
     result, _ = _certified(inst)
-    assert (result.status, result.decided_by) == (status, "paths")
+    assert (result.status, result.decided_by) == (status, "mip")
+
+
+@pytest.mark.parametrize(
+    "go, decided_by", [({1: 1.0}, "paths"), ({0: 0.5, 1: 0.5}, "mip")], ids=["paths", "mip"]
+)
+def test_optimal_answer_over_budget_is_a_solver_failure(go, decided_by, monkeypatch):
+    # the shared agent "s" earns 1 for "x", which may reach the risky state
+    # 1 of point 1, and 0 for "y", which stays; a coin "x" leaves the path
+    # model and goes to the occupancy MIP
+    def make(budget):
+        inst = _shared_agent_instance()
+        s = dataclasses.replace(
+            inst.agents["s"],
+            transition={(n, a): go if a == "x" else {n: 1.0} for n in (0, 1) for a in "xy"},
+            utility={(n, a): float(a == "x") for n in (0, 1) for a in "xy"},
+        )
+        point = dataclasses.replace(
+            inst.interactions[1], risk={"j": StateRisk.from_aggregate({(1,): 0.4})}
+        )
+        return dataclasses.replace(
+            inst, agents={**inst.agents, "s": s},
+            interactions=(inst.interactions[0], point), risk_budgets={"j": budget},
+        )
+
+    loose = make(1.0)
+    model = build_model(loose, reachable_layers(loose))
+    answer = ScipyHighsBackend().solve(model.matrix)
+    result = solve(model)
+    assert (result.status, result.decided_by) == ("optimal", decided_by)
+    # the same columns under a budget the answer breaks
+    tight = make(result.risks["j"] - 10 * RISK_VERIFY_SLACK)
+    tight_model = build_model(tight, reachable_layers(tight))
+    assert tight_model.matrix.n_cols == model.matrix.n_cols
+    monkeypatch.setattr(ScipyHighsBackend, "solve", lambda self, matrix, time_limit=None: answer)
+    with pytest.raises(SolverFailure, match="violates budget 'j'"):
+        solve(tight_model)
 
 
 def test_path_model_needs_no_more_columns_than_the_occupancy_model():
@@ -373,7 +402,7 @@ def test_path_model_lp_export_reads_back_into_highs(tmp_path):
     exported = 0
     for inst in _path_family(10):
         try:
-            model = build_path_model(inst)
+            model = build_path_model(inst, reachable_layers(inst))
         except BudgetExhausted:
             continue
         matrix = model.matrix
@@ -390,7 +419,7 @@ def test_path_model_lp_export_reads_back_into_highs(tmp_path):
 
 
 def test_backend_turns_feasibility_jump_off_without_warning(risky_safe, monkeypatch):
-    matrix = build_ilp(risky_safe).matrix
+    matrix = build_ilp(risky_safe, reachable_layers(risky_safe)).matrix
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert ScipyHighsBackend().solve(matrix)[0] == "optimal"
@@ -404,18 +433,6 @@ def test_backend_turns_feasibility_jump_off_without_warning(risky_safe, monkeypa
     monkeypatch.setattr(scipy.optimize, "milp", stub)
     ScipyHighsBackend().solve(matrix)
     assert seen["mip_heuristic_run_feasibility_jump"] is False
-
-
-def test_model_without_columns_is_feasible_only_if_rows_admit_zero():
-    def empty(upper):
-        return MatrixForm(
-            sparse.csr_matrix((1, 0)), np.array([-np.inf]), np.array([upper]),
-            np.zeros(0), np.zeros(0, dtype=int),
-        )
-
-    # rounding (0.1 + 0.2 against a 0.3 budget) is within RISK_VERIFY_SLACK
-    assert ScipyHighsBackend().solve(empty(0.3 - (0.1 + 0.2)))[0] == "optimal"
-    assert ScipyHighsBackend().solve(empty(-2 * RISK_VERIFY_SLACK))[0] == "infeasible"
 
 
 def test_agent_beside_a_branching_agent_is_left_to_the_occupancy_mip():
@@ -444,7 +461,7 @@ def test_agent_beside_a_branching_agent_is_left_to_the_occupancy_mip():
         InteractionPoint(1, ("h",), (False,), {}),
     )
     inst = MccSspInstance({"a": a, "h": h}, points, 2, {"j": 0.3})
-    assert build_path_model(inst) is None
+    assert build_path_model(inst, reachable_layers(inst)) is None
     result, _ = _certified(inst)
     assert (result.status, result.decided_by) == ("optimal", "mip")
     assert result.objective == pytest.approx(0.5)

@@ -174,3 +174,27 @@ def test_trajectory_csv_with_two_columns_is_an_error_naming_the_file(tmp_path):
     path.write_text("t,x\n0.0,1.0\n")
     with pytest.raises(ValueError, match=r"two\.csv:1: expected t,x,y"):
         load_trajectory_csv(str(path))
+
+
+def test_trajectory_csv_with_a_corrupt_row_is_an_error_naming_the_line(tmp_path):
+    path = tmp_path / "corrupt.csv"
+    path.write_text("t,x,y\n0.0,0.0,0.0\n0.2,abc,1.0\n0.4,1.0,1.0\n")
+    with pytest.raises(ValueError, match=r"corrupt\.csv:3: expected numbers t,x,y"):
+        load_trajectory_csv(str(path))
+
+
+def test_trajectory_csv_header_is_only_the_first_row(tmp_path):
+    # a header after comments and blank lines is skipped, and every row loads
+    path = tmp_path / "headed.csv"
+    path.write_text("# recorded\n\ntime,x,y\n0.0,0.0,0.0\n0.2,0.5,0.0\n0.4,1.0,0.0\n")
+    assert load_trajectory_csv(str(path)).tolist() == [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]
+    # a second header-like row is no header
+    again = tmp_path / "again.csv"
+    again.write_text("t,x,y\n0.0,0.0,0.0\nt,x,y\n")
+    with pytest.raises(ValueError, match=r"again\.csv:3:"):
+        load_trajectory_csv(str(again))
+    # nor is a first row with one number among its first three fields
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("0.0,x,y\n0.2,0.5,0.0\n")
+    with pytest.raises(ValueError, match=r"mixed\.csv:1:"):
+        load_trajectory_csv(str(mixed))

@@ -24,7 +24,7 @@ from mccssp.selftest import random_instance
 
 def test_brute_force_risky_safe_tight_budget():
     inst = make_risky_safe_instance(delta=0.1)
-    result = brute_force_optimal(inst)
+    result = brute_force_optimal(inst, reachable_layers(inst))
     assert result.status == "optimal"
     assert result.objective == 1.0
     assert result.risks["col"] == 0.0
@@ -32,7 +32,7 @@ def test_brute_force_risky_safe_tight_budget():
 
 def test_brute_force_risky_safe_loose_budget():
     inst = make_risky_safe_instance(delta=0.3)
-    result = brute_force_optimal(inst)
+    result = brute_force_optimal(inst, reachable_layers(inst))
     assert result.objective == 10.0
     assert abs(result.risks["col"] - 0.2) < 1e-12
 
@@ -56,7 +56,7 @@ def test_brute_force_reports_infeasible():
         0, ("v",), (True,), {"j": StateRisk.from_aggregate({("t",): 0.5})}
     )
     inst = MccSspInstance({"v": agent}, (point,), 1, {"j": 0.1})
-    result = brute_force_optimal(inst)
+    result = brute_force_optimal(inst, reachable_layers(inst))
     assert result.status == "infeasible"
     assert result.policy is None
 
@@ -64,7 +64,7 @@ def test_brute_force_reports_infeasible():
 def test_cap_exceeded():
     inst = make_risky_safe_instance(delta=0.3, horizon=3)
     with pytest.raises(CapExceeded):
-        brute_force_optimal(inst, cap=1)
+        brute_force_optimal(inst, reachable_layers(inst), cap=1)
 
 
 def test_restricted_policy_count_on_chain():
@@ -116,25 +116,25 @@ def test_fcfs_first_granted_second_waits():
 
 def test_fcfs_arrival_order_matters():
     inst = _two_agent_conflict(delta=0.1)
-    policy = fcfs_plan(inst, ["v", "u"], 0.1)
+    policy = fcfs_plan(inst, ["v", "u"], 0.1, reachable_layers(inst))
     assert policy.action(0, ("u_wait", "v_wait"), 0) == ("wait", "go")
 
 
 def test_fcfs_grants_all_when_no_conflict():
     inst = _two_agent_conflict(delta=0.1, pair_risk=0.0)
-    policy = fcfs_plan(inst, ["u", "v"], 0.1)
+    policy = fcfs_plan(inst, ["u", "v"], 0.1, reachable_layers(inst))
     assert policy.action(0, ("u_wait", "v_wait"), 0) == ("go", "go")
 
 
 def test_fcfs_vacuous_bound_grants_everything():
     inst = _two_agent_conflict(delta=1.0)
-    policy = fcfs_plan(inst, ["u", "v"], 1.0)
+    policy = fcfs_plan(inst, ["u", "v"], 1.0, reachable_layers(inst))
     assert policy.action(0, ("u_wait", "v_wait"), 0) == ("go", "go")
 
 
 def test_fcfs_requires_wait_action():
     inst = make_chain_instance()  # single action, fine
-    fcfs_plan(inst, ["c"], 0.5)
+    fcfs_plan(inst, ["c"], 0.5, reachable_layers(inst))
     bad_agent = AgentMdp(
         states={0, 1},
         actions=("a", "b"),
@@ -146,7 +146,7 @@ def test_fcfs_requires_wait_action():
         {"v": bad_agent}, (InteractionPoint(0, ("v",), (True,), {}),), 1, {"j": 1.0}
     )
     with pytest.raises(MissingWaitAction):
-        fcfs_plan(inst2, ["v"], 0.5)
+        fcfs_plan(inst2, ["v"], 0.5, reachable_layers(inst2))
 
 
 def test_fcfs_never_beats_brute_force():
@@ -172,12 +172,12 @@ def test_brute_force_policies_respect_budgets():
         inst = random_instance(rng)
         if validate_instance(inst):
             continue
+        layers = reachable_layers(inst)
         try:
-            result = brute_force_optimal(inst, cap=50_000)
+            result = brute_force_optimal(inst, layers, cap=50_000)
         except CapExceeded:
             continue
         if result.status == "optimal":
-            layers = reachable_layers(inst)
             for j in inst.criteria:
                 er = execution_risk(inst, layers, result.policy, j)
                 assert er <= inst.risk_budgets[j] + 1e-9
