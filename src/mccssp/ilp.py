@@ -38,7 +38,7 @@ import numpy as np
 import scipy.optimize
 from scipy import sparse
 
-from .model import AgentMdp, LayeredSpace, MccSspInstance, reachable_layers, skey
+from .model import LayeredSpace, MccSspInstance, OwnRows, reachable_layers, skey
 from .oracles import backward_dp
 from .risk import Policy, evaluate_table, execution_risk, expected_utility
 
@@ -87,9 +87,23 @@ class MatrixForm:
         cls, row_ix, col_ix, vals, lower, upper, objective, integrality, col_blocks, row_blocks
     ) -> MatrixForm:
         """The model whose nonzeros are the (row, col, value) triplets, one
-        row per bound pair and one column per objective entry."""
+        row per bound pair and one column per objective entry.
+
+        The matrix is the one ``sparse.csr_matrix((vals, (row_ix, col_ix)))``
+        builds, assembled without the coordinate form: the triplets are
+        grouped by row in their given order, and ``sum_duplicates`` then
+        sorts each row and sums repeated entries as that conversion does."""
+        shape = (len(lower), len(objective))
+        index = np.int32 if max(*shape, len(vals)) <= np.iinfo(np.int32).max else np.int64
+        rows = np.asarray(row_ix, dtype=index)
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(shape[0] + 1, dtype=index)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        cols = np.asarray(col_ix, dtype=index)[order]
+        a = sparse.csr_matrix((np.asarray(vals, dtype=float)[order], cols, indptr), shape=shape)
+        a.sum_duplicates()
         return cls(
-            a=sparse.csr_matrix((vals, (row_ix, col_ix)), shape=(len(lower), len(objective))),
+            a=a,
             row_lower=np.array(lower),
             row_upper=np.array(upper),
             objective=np.array(objective, dtype=float),
@@ -236,12 +250,28 @@ def _occupancy_layout(layers: LayeredSpace) -> tuple:
 
 def _occupancy_columns(instance: MccSspInstance, layers: LayeredSpace) -> int:
     """Number of columns ``build_ilp`` makes: x blocks per flow index and a
-    z block per interaction, and the shared slots' y columns."""
-    first, shared = _occupancy_layout(layers)
+    z block per interaction, and one y column per agent action at each
+    (agent, own state, time) slot that two or more interactions hold.
+
+    The slots are read off the agents' own layers: every member action
+    combination is a joint action and a joint probability is the product
+    of the members', so an interaction's joint layer k holds each own
+    state of each member at time k.  Only a product that underflows to 0
+    could leave one out."""
     n_blocks = 2 + len(instance.criteria)
-    return sum(
-        n_blocks * first[i][-1] * len(layers.per_interaction[i].joint_actions) for i in first
-    ) + sum(len(instance.agents[v].actions) for v, _, _ in shared)
+    holders = {}
+    for layers_i in layers:
+        for v in set(layers_i.members):
+            holders[v] = holders.get(v, 0) + 1
+    shared = sum(
+        len(own.actions) * sum(map(len, own.layers[: layers.horizon]))
+        for v, own in layers.own.items()
+        if holders.get(v, 0) > 1
+    )
+    return shared + sum(
+        n_blocks * sum(map(len, layers_i.layers[: layers.horizon])) * len(layers_i.joint_actions)
+        for layers_i in layers
+    )
 
 
 def build_ilp(instance: MccSspInstance, layers: LayeredSpace) -> IlpModel:
@@ -393,9 +423,9 @@ class PathModel:
 
     ``paths[v]`` lists decision agent v's paths as (states, actions), and
     its path binaries start at column ``b_start[v]``.  ``points`` holds,
-    per interaction, its decision agents in member order and the
-    (utility, risks) of the interaction for every combination of their
-    path indices."""
+    per interaction, its decision agents in member order and two maps over
+    every combination of their path indices: to the (utility, risks) of the
+    interaction, and to its open-loop joint action per step."""
 
     instance: MccSspInstance
     layers: LayeredSpace
@@ -406,12 +436,12 @@ class PathModel:
     matrix: MatrixForm
 
 
-def _agent_paths(agent: AgentMdp, horizon: int, limit: int) -> list | None:
+def _agent_paths(own: OwnRows, horizon: int, limit: int) -> list | None:
     """Every open-loop path of a deterministic agent as (states, actions),
-    one per distinct state sequence: each step takes the best-utility
-    action to its successor, the earlier sorted action on ties.  None when
-    a reachable transition branches or there are more than ``limit``."""
-    actions = agent.sorted_actions()
+    read off its own rows from its initial state, one per distinct state
+    sequence: each step takes the best-utility action to its successor, the
+    earlier sorted action on ties.  None when a reachable transition
+    branches or there are more than ``limit``."""
     paths = []
 
     def extend(states, taken):
@@ -419,16 +449,15 @@ def _agent_paths(agent: AgentMdp, horizon: int, limit: int) -> list | None:
             paths.append((states, taken))
             return len(paths) <= limit
         best = {}
-        for a in actions:
-            succ = [t for t, p in agent.successors(states[-1], a).items() if p > 0.0]
+        for a, (items, u) in zip(own.actions, own.rows[states[-1]]):
+            succ = [t for t, p in items if p > 0.0]
             if len(succ) != 1:
                 return False
-            u = agent.reward(states[-1], a)
             if succ[0] not in best or u > best[succ[0]][0]:
                 best[succ[0]] = (u, a)
         return all(extend(states + (t,), taken + (a,)) for t, (_, a) in best.items())
 
-    return paths if extend((agent.initial_state,), ()) else None
+    return paths if extend(own.layers[0], ()) else None
 
 
 class _Schedule:
@@ -439,17 +468,6 @@ class _Schedule:
 
     def __getitem__(self, key):
         return self.steps[key[1]]
-
-
-def _open_loop_steps(instance: MccSspInstance, layers_i, chosen: dict) -> list:
-    """Joint action per step of one interaction whose decision members
-    take the actions of their paths in ``chosen`` and whose other members
-    take their only action."""
-    horizon = len(layers_i.layers) - 1
-    return list(zip(*(
-        chosen[v][1] if v in chosen else instance.agents[v].actions[:1] * horizon
-        for v in layers_i.members
-    )))
 
 
 def build_path_model(instance: MccSspInstance, layers: LayeredSpace) -> PathModel | None:
@@ -466,6 +484,10 @@ def build_path_model(instance: MccSspInstance, layers: LayeredSpace) -> PathMode
     follow their only action, and may branch.  So every path model has a
     column; an instance where no agent has a choice goes to ``build_ilp``.
 
+    Paths are read off the agents' own rows (``layers.own``), and each
+    combination of member paths is scored by ``evaluate_table`` on its
+    open-loop schedule.
+
     Raises BudgetExhausted as ``build_ilp`` does.
     """
     points_of = {}
@@ -477,13 +499,13 @@ def build_path_model(instance: MccSspInstance, layers: LayeredSpace) -> PathMode
     limit = _occupancy_columns(instance, layers)
     paths = {}
     for v in sorted(instance.agents, key=skey):
-        agent = instance.agents[v]
-        if len(agent.actions) == 1:
+        own = layers.own[v]
+        if len(own.actions) == 1:
             continue
         points = points_of[v]
         if len(points) < 2 and points[0].members != (v,):
             return None
-        paths[v] = _agent_paths(agent, instance.horizon, limit)
+        paths[v] = _agent_paths(own, instance.horizon, limit)
         if paths[v] is None:
             return None
     if not paths:
@@ -512,15 +534,32 @@ def build_path_model(instance: MccSspInstance, layers: LayeredSpace) -> PathMode
     lower = [1.0] * len(paths) + [-math.inf] * len(criteria)
     upper = [1.0] * len(paths) + [instance.risk_budgets[j] for j in criteria]
 
+    # each agent's open-loop action sequences: one per path of a decision
+    # agent, its only action at every step for any other
+    plans = {
+        v: [taken for _, taken in paths[v]] if v in paths else [own.actions * layers.horizon]
+        for v, own in layers.own.items()
+    }
     model_points = []
     for layers_i, group in zip(layers, groups):
-        values = {}
-        for combo in product(*(range(len(paths[v])) for v in group)):
-            chosen = {v: paths[v][p] for v, p in zip(group, combo)}
-            table = _Schedule(_open_loop_steps(instance, layers_i, chosen))
-            values[combo] = evaluate_table(layers_i, table, criteria)
-        model_points.append((layers_i, tuple(group), values))
-        if len(group) > 1:
+        # each combination's joint action per step, and its score
+        combos = product(*[range(len(paths[v])) for v in group])
+        sequences = product(*[plans[v] for v in layers_i.members])
+        steps = {combo: tuple(zip(*member)) for combo, member in zip(combos, sequences)}
+        values = {
+            combo: evaluate_table(layers_i, _Schedule(plan), criteria)
+            for combo, plan in steps.items()
+        }
+        model_points.append((layers_i, tuple(group), values, steps))
+        if not group:  # no decision here: a constant
+            for n, r in enumerate(values[()][1]):
+                upper[risk_row + n] -= r
+            continue
+        if len(group) == 1:
+            cols = range(b_start[group[0]], b_start[group[0]] + len(values))
+            for col, (u, _) in zip(cols, values.values()):
+                objective[col] += u
+        else:
             marginal = list(accumulate((len(paths[v]) for v in group), initial=len(lower)))
             for v, r0 in zip(group, marginal):
                 row_ix += range(r0, r0 + len(paths[v]))
@@ -530,20 +569,15 @@ def build_path_model(instance: MccSspInstance, layers: LayeredSpace) -> PathMode
             upper += [0.0] * (marginal[-1] - marginal[0])
             row_blocks.append(((f"marg_i{layers_i.id}",), marginal[-1] - marginal[0]))
             col_blocks.append(((f"w_i{layers_i.id}",), len(values)))
-        for combo, (u, risks) in values.items():
-            if not group:  # no decision here: a constant
-                for n, r in enumerate(risks):
-                    upper[risk_row + n] -= r
-                continue
-            if len(group) == 1:
-                col = b_start[group[0]] + combo[0]
-                objective[col] += u
-            else:
-                col = len(objective)
-                objective.append(u)
+            cols = range(len(objective), len(objective) + len(values))
+            objective += [u for u, _ in values.values()]
+            for col, combo in zip(cols, values):
                 row_ix += [r0 + p for r0, p in zip(marginal, combo)]
                 col_ix += [col] * len(combo)
                 vals += [1.0] * len(combo)
+        # each row's entries keep their order: a row's repeated entries are
+        # summed in it (see MatrixForm.from_triplets)
+        for col, (_, risks) in zip(cols, values.values()):
             for n, r in enumerate(risks):
                 if r != 0.0:
                     row_ix.append(risk_row + n)
@@ -692,25 +726,32 @@ def _dp_certificate(model: IlpModel) -> SolveResult | None:
 
 def _highs_verdict(model: IlpModel | PathModel, time_limit) -> SolveResult:
     """HiGHS's answer on a built model, read back and checked.  An optimal
-    policy over a budget by more than RISK_VERIFY_SLACK is a SolverFailure;
-    a time-out without incumbent falls back to the default-action policy.
-    Only reading the solution depends on the formulation."""
+    policy, or a time-limited incumbent's, over a budget by more than
+    RISK_VERIFY_SLACK is a SolverFailure, and so is an infeasible verdict
+    on a model whose default-action policy fits every budget; a time-out
+    without incumbent falls back to that policy.  Only reading the solution
+    depends on the formulation."""
     paths = isinstance(model, PathModel)
     decided_by = "paths" if paths else "mip"
     status, x, objective = ScipyHighsBackend().solve(model.matrix, time_limit)
+    budgets = model.instance.risk_budgets
     if status == "infeasible":
+        _, risks, over = _default_action_plan(model)
+        if not over:
+            raise SolverFailure(
+                f"HiGHS answered infeasible, but the default-action policy fits every "
+                f"budget: risks {risks} within budgets {budgets}"
+            )
         return SolveResult(status="infeasible", decided_by=decided_by)
     if x is None:
         return _default_action_fallback(model)
-    objective, policy, flows = (_read_paths if paths else _read_occupancy)(model, x, objective)
-    risks = {j: execution_risk(model.instance, model.layers, policy, j) for j in model.criteria}
-    if status == "optimal":
-        budgets = model.instance.risk_budgets
-        for j, value in risks.items():
-            if value > budgets[j] + RISK_VERIFY_SLACK:
-                raise SolverFailure(
-                    f"extracted policy violates budget {j!r}: {value} > {budgets[j]}"
-                )
+    read = _read_paths if paths else _read_occupancy
+    objective, policy, flows, risks = read(model, x, objective)
+    for j, value in risks.items():
+        if value > budgets[j] + RISK_VERIFY_SLACK:
+            raise SolverFailure(
+                f"extracted {status} policy violates budget {j!r}: {value} > {budgets[j]}"
+            )
     return SolveResult(
         status=status, objective=objective, policy=policy, flows=flows, risks=risks,
         decided_by=decided_by,
@@ -718,8 +759,9 @@ def _highs_verdict(model: IlpModel | PathModel, time_limit) -> SolveResult:
 
 
 def _read_occupancy(model: IlpModel, x: np.ndarray, objective: float) -> tuple:
-    """(objective, policy, flows) of an occupancy solution: HiGHS's
-    objective, the max-flow policy and the nonzero flows."""
+    """(objective, policy, flows, risks) of an occupancy solution: HiGHS's
+    objective, the max-flow policy, the nonzero flows and the policy's
+    execution risk per criterion."""
     policy = extract_policy(model, x)
     flows = {}
     for fn, j in enumerate((None,) + model.criteria):
@@ -729,32 +771,37 @@ def _read_occupancy(model: IlpModel, x: np.ndarray, objective: float) -> tuple:
                 if abs(v) > 1e-12:
                     per[(i, k, s, a)] = v
         flows[j] = per
-    return float(objective), policy, flows
+    risks = {j: execution_risk(model.instance, model.layers, policy, j) for j in model.criteria}
+    return float(objective), policy, flows, risks
 
 
 def _read_paths(model: PathModel, x: np.ndarray, _objective: float) -> tuple:
-    """(objective, policy, no flows) of a path solution: one path per
-    decision agent, followed at every interaction; the objective is the sum
-    of the chosen combinations' utilities."""
+    """(objective, policy, no flows, risks) of a path solution: one path per
+    decision agent, followed at every interaction.  The objective and the
+    risks are sums over the interactions of the chosen combinations'
+    ``evaluate_table`` values, in interaction order, as ``execution_risk``
+    sums them: the policy takes each combination's open-loop actions at
+    every state, so the recursion on it gives the same values."""
     xs = x.tolist()
     chosen = {
         v: max(range(len(paths)), key=lambda p: xs[model.b_start[v] + p])
         for v, paths in model.paths.items()
     }
-    utility, assignments = 0.0, {}
-    for layers_i, group, values in model.points:
-        utility += values[tuple(chosen[v] for v in group)][0]
-        steps = _open_loop_steps(
-            model.instance, layers_i, {v: model.paths[v][chosen[v]] for v in group}
-        )
-        assignments[layers_i.id] = {(s, k): steps[k] for k, s in layers_i.decision_points()}
-    return utility, Policy(assignments), {}
+    utility, assignments, scores = 0.0, {}, []
+    for layers_i, group, values, steps in model.points:
+        combo = tuple(chosen[v] for v in group)
+        utility += values[combo][0]
+        scores.append(values[combo][1])
+        plan = steps[combo]
+        assignments[layers_i.id] = {(s, k): plan[k] for k, s in layers_i.decision_points()}
+    risks = {j: sum(risks[n] for risks in scores) for n, j in enumerate(model.criteria)}
+    return utility, Policy(assignments), {}, risks
 
 
-def _default_action_fallback(model: IlpModel | PathModel) -> SolveResult:
-    """The default-joint-action policy (all-wait in the intersection, where
-    it is feasible by construction) as a time_limit result when it fits
-    every budget; SolverFailure otherwise."""
+def _default_action_plan(model: IlpModel | PathModel) -> tuple:
+    """(policy, risks, over) of the default-joint-action policy (all-wait
+    in the intersection, where it is feasible by construction): its risk
+    per criterion, and those of them over their budgets."""
     instance, layers = model.instance, model.layers
     policy = Policy(
         {
@@ -767,12 +814,19 @@ def _default_action_fallback(model: IlpModel | PathModel) -> SolveResult:
     )
     risks = {j: execution_risk(instance, layers, policy, j) for j in model.criteria}
     over = {j: r for j, r in risks.items() if r > instance.risk_budgets[j]}
+    return policy, risks, over
+
+
+def _default_action_fallback(model: IlpModel | PathModel) -> SolveResult:
+    """The default-action policy as a time_limit result when it fits every
+    budget; SolverFailure otherwise."""
+    policy, risks, over = _default_action_plan(model)
     if over:
         raise SolverFailure(
             "HiGHS reached its time limit without an incumbent, and the "
             f"default-action policy exceeds budgets: {over}"
         )
-    utility = expected_utility(instance, layers, policy)
+    utility = expected_utility(model.instance, model.layers, policy)
     return SolveResult(
         status="time_limit", objective=utility, policy=policy, risks=risks, decided_by="fallback"
     )

@@ -304,18 +304,63 @@ def validate_instance(instance: MccSspInstance) -> list:
 
 
 @dataclass(frozen=True)
+class OwnRows:
+    """One agent's own transition structure, read once per layering from
+    its transition and utility maps.
+
+    ``actions`` are the agent's actions in ``skey`` order and ``layers[k]``
+    the own states it reaches at time k, for k up to the horizon.  At every
+    state of a decision layer (k < horizon), ``rows[state]`` holds one
+    (items, reward) pair per action, in ``actions`` order: the (successor,
+    probability) items of ``AgentMdp.successors`` in their order, and
+    ``AgentMdp.reward``.  ``keys[state]`` is ``skey(state)`` at every state
+    of every layer.
+    """
+
+    actions: tuple
+    layers: tuple
+    rows: Mapping
+    keys: Mapping
+
+
+def own_rows(agent: AgentMdp, horizon: int) -> OwnRows:
+    """Expand one agent breadth-first from its initial state for
+    ``horizon`` steps, reading each state's rows once.  Every successor of
+    non-zero probability counts as reached, so a joint product of members'
+    rows only reaches states that have rows and keys here."""
+    actions = agent.sorted_actions()
+    rows = {}
+    layers = [(agent.initial_state,)]
+    for _ in range(horizon):
+        reached = {}
+        for s in layers[-1]:
+            if s not in rows:
+                rows[s] = tuple(
+                    (tuple(agent.successors(s, a).items()), agent.reward(s, a)) for a in actions
+                )
+            for items, _ in rows[s]:
+                for t, p in items:
+                    if p != 0.0:
+                        reached[t] = None
+        layers.append(tuple(reached))
+    keys = {s: skey(s) for layer in layers for s in layer}
+    return OwnRows(actions, tuple(layers), rows, keys)
+
+
+@dataclass(frozen=True)
 class InteractionLayers:
     """One interaction point's joint space over its reachable layers.
 
     Joint states and actions are tuples in the order of ``members``;
     ``joint_actions`` is the product of the members' sorted actions and
     ``default_joint_action`` joins their default actions.  ``layers[k]`` is
-    the sorted tuple of joint states reachable at time k;
+    the tuple of joint states reachable at time k, sorted by ``skey``;
     ``edges[(state, action)]`` is the tuple of (successor, probability)
-    pairs, whose probabilities are products of the member marginals, and
-    ``utilities[(state, action)]`` sums the owned members' utilities.
-    Transition structure is time-invariant, so edges are keyed by state
-    only.
+    pairs in ``skey`` order of the successors, whose probabilities are
+    products of the members' own rows (``OwnRows``), and
+    ``utilities[(state, action)]`` sums the owned members' rewards in
+    member order.  Transition structure is time-invariant, so edges are
+    keyed by state only and each state is expanded once.
     """
 
     point: InteractionPoint
@@ -354,72 +399,96 @@ class InteractionLayers:
 
 @dataclass(frozen=True)
 class LayeredSpace:
-    """Per-interaction reachable layers for a full instance."""
+    """Per-interaction reachable layers for a full instance, and each
+    agent's own rows (``own[agent]``) that they are products of."""
 
     horizon: int
     per_interaction: Mapping[int, InteractionLayers]
+    own: Mapping[AgentId, OwnRows]
 
     def __iter__(self):
         return iter(self.per_interaction.values())
 
 
-def _joint_successors(agents: list, joint_state: tuple, joint_action: tuple) -> dict:
-    """Joint successor distribution: the product of member marginals."""
-    rows = [
-        agent.successors(s, a)
-        for agent, s, a in zip(agents, joint_state, joint_action)
-    ]
-    out = {}
-    for combo in itertools.product(*(row.items() for row in rows)):
-        succ = tuple(s for s, _ in combo)
-        p = 1.0
-        for _, q in combo:
-            p *= q
-        if p > 0.0:
-            out[succ] = out.get(succ, 0.0) + p
-    return out
+def _joint_key(member_keys: list, joint: tuple) -> str:
+    """``skey(joint)`` from each member's own keys: the repr of a tuple
+    joins its items' reprs."""
+    inner = ", ".join(map(dict.__getitem__, member_keys, joint))
+    return "(" + inner + (",)" if len(joint) == 1 else ")")
+
+
+def _layer_point(
+    point: InteractionPoint, agents: Mapping, own: Mapping, horizon: int
+) -> InteractionLayers:
+    """Expand one interaction breadth-first from its joint initial state,
+    each joint state once.  The rows and utilities of all joint actions at
+    a state are formed member by member from the members' own rows, in the
+    order of ``joint_actions``: probabilities multiply left to right from
+    1.0, and a successor is kept when its product is positive; the owned
+    members' rewards add left to right from 0.0.  Joint sort keys are
+    joined from the members' own keys."""
+    members = [own[v] for v in point.members]
+    owners = point.utility_owners
+    member_keys = [m.keys for m in members]
+    joint_actions = tuple(itertools.product(*[m.actions for m in members]))
+    keys, edges, utilities = {}, {}, {}
+    successors = {}  # joint state -> its edges' successors, in edge order
+    layers = [(tuple([agents[v].initial_state for v in point.members]),)]
+    for _ in range(horizon):
+        nxt = set()
+        for s in layers[-1]:
+            reached = successors.get(s)
+            if reached is None:
+                reached = successors[s] = []
+                # (row, utility) per joint action over the members so far
+                joint = [([((), 1.0)], 0.0)]
+                for m, owns, sv in zip(members, owners, s):
+                    joint = [
+                        (
+                            [(succ + (t,), p * q) for succ, p in row for t, q in items],
+                            utility + reward if owns else utility,
+                        )
+                        for row, utility in joint
+                        for items, reward in m.rows[sv]
+                    ]
+                for a, (row, utility) in zip(joint_actions, joint):
+                    kept = [(succ, p) for succ, p in row if p > 0.0]
+                    for succ, _ in kept:
+                        if succ not in keys:
+                            keys[succ] = _joint_key(member_keys, succ)
+                    if len(kept) > 1:
+                        kept.sort(key=lambda kv: keys[kv[0]])
+                    reached += [succ for succ, _ in kept]
+                    edges[(s, a)] = tuple(kept)
+                    utilities[(s, a)] = utility
+            nxt.update(reached)
+        layers.append(tuple(sorted(nxt, key=keys.__getitem__)))
+    return InteractionLayers(
+        point=point,
+        joint_actions=joint_actions,
+        default_joint_action=tuple([agents[v].default_action() for v in point.members]),
+        layers=tuple(layers),
+        edges=edges,
+        utilities=utilities,
+    )
 
 
 def reachable_layers(instance: MccSspInstance) -> LayeredSpace:
-    """Validate the instance, then expand breadth-first from each
-    interaction's joint initial state for ``horizon`` steps.  Only states
-    with strictly positive reachability probability are materialized, so
-    the output is independent of the ambient state-set size.  Raises
-    InstanceError on an invalid instance.
+    """Validate the instance, then lay it out once: each agent's own rows
+    (``own_rows``: successor items, rewards and sort keys over the states it
+    reaches within the horizon), and from them each interaction's reachable
+    joint layers, edges and utilities, expanded breadth-first from its
+    joint initial state for ``horizon`` steps.  Only states with strictly
+    positive reachability probability are materialized, so the output is
+    independent of the ambient state-set size.  Raises InstanceError on an
+    invalid instance.
     """
     report = validate_instance(instance)
     if report:
         raise InstanceError("invalid instance: " + "; ".join(report))
-    per_interaction = {}
-    for point in instance.interactions:
-        agents = [instance.agents[v] for v in point.members]
-        joint_actions = tuple(itertools.product(*(m.sorted_actions() for m in agents)))
-        initial = tuple(m.initial_state for m in agents)
-        layers = [(initial,)]
-        edges = {}
-        utilities = {}
-        frontier = [initial]
-        for _ in range(instance.horizon):
-            nxt = set()
-            for s in frontier:
-                for a in joint_actions:
-                    if (s, a) not in edges:
-                        row = _joint_successors(agents, s, a)
-                        edges[(s, a)] = tuple(sorted(row.items(), key=lambda kv: skey(kv[0])))
-                        utility = 0.0
-                        for agent, owns, sv, av in zip(agents, point.utility_owners, s, a):
-                            if owns:
-                                utility += agent.reward(sv, av)
-                        utilities[(s, a)] = utility
-                    nxt.update(succ for succ, _ in edges[(s, a)])
-            frontier = sorted(nxt, key=skey)
-            layers.append(tuple(frontier))
-        per_interaction[point.id] = InteractionLayers(
-            point=point,
-            joint_actions=joint_actions,
-            default_joint_action=tuple(m.default_action() for m in agents),
-            layers=tuple(layers),
-            edges=edges,
-            utilities=utilities,
-        )
-    return LayeredSpace(horizon=instance.horizon, per_interaction=per_interaction)
+    own = {v: own_rows(agent, instance.horizon) for v, agent in instance.agents.items()}
+    per_interaction = {
+        point.id: _layer_point(point, instance.agents, own, instance.horizon)
+        for point in instance.interactions
+    }
+    return LayeredSpace(horizon=instance.horizon, per_interaction=per_interaction, own=own)

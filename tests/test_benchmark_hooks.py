@@ -5,6 +5,7 @@ the benchmark runs."""
 
 import os
 import sys
+import time
 
 import pytest
 
@@ -49,3 +50,30 @@ def test_workload_hooks_install_and_undo(name):
     _install_and_undo(
         lambda patches: workload.install(workloads.Run(1, patches, scaled=False))
     )
+
+
+def test_traced_intersection_step_reports_layers_and_highs_calls(small_scenario):
+    """The traced benchmark reads layer sizes off ``reachable_layers``'s
+    result and counts backend calls; one traced planning step must show
+    both."""
+    from mccssp import ilp, intersection
+
+    vehicles = [
+        intersection.VehicleState(id=f"v{n}", kind="av", lane=lane, slot=0, arrival_s=float(n))
+        for n, lane in enumerate(("N0", "W1"))
+    ]
+    tracer = tracing.Tracer()
+    patches = tracing.Patches()
+    start = time.perf_counter_ns()
+    try:
+        tracing.install(tracer, patches)
+        instance, _ = intersection.build_intersection_instance(
+            small_scenario, vehicles, green_side="N", horizon=1, delta=0.05
+        )
+        result = ilp.solve_instance(instance)
+    finally:
+        patches.undo()
+    metrics = tracing.layer_metrics(tracer, start, time.perf_counter_ns())
+    assert result.decided_by == "paths"
+    assert metrics["model.layer_states"][0] > 0
+    assert metrics["ilp.highs_calls"][0] >= 1

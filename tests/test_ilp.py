@@ -348,13 +348,12 @@ def test_constant_only_path_model_is_checked_against_the_budget(budget, status):
     assert (result.status, result.decided_by) == (status, "mip")
 
 
-@pytest.mark.parametrize(
-    "go, decided_by", [({1: 1.0}, "paths"), ({0: 0.5, 1: 0.5}, "mip")], ids=["paths", "mip"]
-)
-def test_optimal_answer_over_budget_is_a_solver_failure(go, decided_by, monkeypatch):
-    # the shared agent "s" earns 1 for "x", which may reach the risky state
-    # 1 of point 1, and 0 for "y", which stays; a coin "x" leaves the path
-    # model and goes to the occupancy MIP
+def _over_budget_case(go):
+    """(loose model, HiGHS's answer on it, its solve, the same columns under
+    a budget the answer breaks).  The shared agent "s" earns 1 for "x",
+    which reaches the risky state 1 of point 1 with the probabilities
+    ``go``, and 0 for "y", which stays; a coin "x" leaves the path model and
+    goes to the occupancy MIP."""
     def make(budget):
         inst = _shared_agent_instance()
         s = dataclasses.replace(
@@ -374,14 +373,62 @@ def test_optimal_answer_over_budget_is_a_solver_failure(go, decided_by, monkeypa
     model = build_model(loose, reachable_layers(loose))
     answer = ScipyHighsBackend().solve(model.matrix)
     result = solve(model)
-    assert (result.status, result.decided_by) == ("optimal", decided_by)
-    # the same columns under a budget the answer breaks
     tight = make(result.risks["j"] - 10 * RISK_VERIFY_SLACK)
     tight_model = build_model(tight, reachable_layers(tight))
     assert tight_model.matrix.n_cols == model.matrix.n_cols
+    return model, answer, result, tight_model
+
+
+_GO = pytest.mark.parametrize(
+    "go, decided_by", [({1: 1.0}, "paths"), ({0: 0.5, 1: 0.5}, "mip")], ids=["paths", "mip"]
+)
+
+
+@_GO
+def test_optimal_answer_over_budget_is_a_solver_failure(go, decided_by, monkeypatch):
+    _, answer, result, tight_model = _over_budget_case(go)
+    assert (result.status, result.decided_by) == ("optimal", decided_by)
     monkeypatch.setattr(ScipyHighsBackend, "solve", lambda self, matrix, time_limit=None: answer)
     with pytest.raises(SolverFailure, match="violates budget 'j'"):
         solve(tight_model)
+
+
+@_GO
+def test_time_limited_incumbent_over_budget_is_a_solver_failure(go, decided_by, monkeypatch):
+    _, (_, x, objective), _, tight_model = _over_budget_case(go)
+    monkeypatch.setattr(
+        ScipyHighsBackend, "solve",
+        lambda self, matrix, time_limit=None: ("time_limit", x, objective),
+    )
+    with pytest.raises(SolverFailure, match="extracted time_limit policy violates budget 'j'"):
+        solve(tight_model)
+
+
+@_GO
+def test_infeasible_answer_beside_a_fitting_default_plan_is_a_solver_failure(
+    go, decided_by, monkeypatch
+):
+    # the default action of "s" is "x", the first sorted: with the budget
+    # at its risk the default plan fits, so "infeasible" contradicts it
+    model, _, result, _ = _over_budget_case(go)
+    assert result.decided_by == decided_by
+    monkeypatch.setattr(
+        ScipyHighsBackend, "solve",
+        lambda self, matrix, time_limit=None: ("infeasible", None, float("nan")),
+    )
+    with pytest.raises(SolverFailure, match="answered infeasible, but the default-action"):
+        solve(model)
+
+
+@_GO
+def test_infeasible_answer_beside_an_unfit_default_plan_stands(go, decided_by, monkeypatch):
+    _, _, _, tight_model = _over_budget_case(go)
+    monkeypatch.setattr(
+        ScipyHighsBackend, "solve",
+        lambda self, matrix, time_limit=None: ("infeasible", None, float("nan")),
+    )
+    result = solve(tight_model)
+    assert (result.status, result.decided_by) == ("infeasible", decided_by)
 
 
 def test_path_model_needs_no_more_columns_than_the_occupancy_model():
