@@ -28,15 +28,12 @@ from .model import (
 from .oracles import brute_force_optimal, dp_optimal_utility, fcfs_plan
 from .pft import (
     Pft,
-    RiskTable,
     VehicleGeometry,
     cluster_trajectories,
     collision_prob_at,
     dtw_align,
     intent_posterior,
-    pairwise_risk,
     pft_fit,
-    precompute_risk_table,
 )
 from .risk import (
     Policy,
@@ -57,7 +54,6 @@ __all__ = [
     "MccSspInstance",
     "Pft",
     "Policy",
-    "RiskTable",
     "SolveResult",
     "SolverFailure",
     "StateRisk",
@@ -73,10 +69,8 @@ __all__ = [
     "fcfs_plan",
     "intent_posterior",
     "linear_risk_from_flows",
-    "pairwise_risk",
     "pft_fit",
     "policy_flows",
-    "precompute_risk_table",
     "reachable_layers",
     "solve",
     "solve_instance",

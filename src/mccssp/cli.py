@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import logging
+import math
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -177,13 +178,13 @@ def cmd_grid_bench(args) -> int:
     return 2 if failed else 0
 
 
-def _sim_cell(job):
-    from .intersection import Scenario, ScenarioConfig, simulate
+def _sim_cell(scenario, job):
+    """One replication on ``scenario``, whose pair tables every job of the
+    process shares; only the HV share differs between jobs."""
+    from .intersection import simulate
 
-    config, planner, delta, horizon, hv_fraction, seed, duration = job
-    cfg = ScenarioConfig(**config)
-    cfg.hv_fraction = hv_fraction
-    scenario = Scenario(cfg)
+    planner, delta, horizon, hv_fraction, seed, duration = job
+    scenario.config.hv_fraction = hv_fraction
     metrics = simulate(
         scenario, planner=planner, duration_s=duration, seed=seed,
         horizon=horizon, delta=delta,
@@ -202,8 +203,22 @@ def _sim_cell(job):
     }
 
 
+_worker_scenario = None  # a pool worker's scenario, built by _init_worker
+
+
+def _init_worker(config) -> None:
+    from .intersection import Scenario
+
+    global _worker_scenario
+    _worker_scenario = Scenario(config)
+
+
+def _worker_cell(job):
+    return _sim_cell(_worker_scenario, job)
+
+
 def cmd_intersect_sim(args) -> int:
-    from .intersection import PLANNERS, ScenarioConfig
+    from .intersection import PLANNERS, Scenario, ScenarioConfig
 
     planners = [p.strip() for p in args.planners.split(",")]
     unknown = [p for p in planners if p not in PLANNERS]
@@ -238,25 +253,24 @@ def cmd_intersect_sim(args) -> int:
         config.validate()
     except ValueError as exc:
         raise InputError(f"scenario: {exc}") from None
-    base = asdict(config)
-
-    jobs = []
-    for planner in planners:
-        for delta in deltas:
-            for horizon in horizons:
-                for hv in hv_fractions:
-                    for rep in range(args.replications):
-                        jobs.append(
-                            (base, planner, delta, horizon, hv,
-                             args.seed + rep, args.duration)
-                        )
+    jobs = [
+        (planner, delta, horizon, hv, args.seed + rep, args.duration)
+        for planner in planners
+        for delta in deltas
+        for horizon in horizons
+        for hv in hv_fractions
+        for rep in range(args.replications)
+    ]
     if args.jobs > 1:
         import multiprocessing as mp
 
-        with mp.Pool(args.jobs) as pool:
-            rows = pool.map(_sim_cell, jobs)
+        with mp.get_context("spawn").Pool(
+            args.jobs, initializer=_init_worker, initargs=(config,)
+        ) as pool:
+            rows = pool.map(_worker_cell, jobs)
     else:
-        rows = [_sim_cell(job) for job in jobs]
+        scenario = Scenario(config)
+        rows = [_sim_cell(scenario, job) for job in jobs]
 
     columns = ["seed", "planner", "delta", "h", "hv_fraction", "throughput_vpm",
                "max_wait_s", "collisions", "collision_rate", "mean_plan_s"]
@@ -290,7 +304,7 @@ def cmd_pft(args) -> int:
         dtw_align,
         intent_posterior,
         pft_fit,
-        precompute_risk_table,
+        sample_pair_risk,
     )
 
     if args.pft_command == "fit":
@@ -325,16 +339,22 @@ def cmd_pft(args) -> int:
         return 0
 
     # risk-table: argparse requires one of the three subcommands
-    maneuvers = _load_tubes(args.pft)
+    tubes = _load_tubes(args.pft)
     geometry = VehicleGeometry(args.length, args.width)
+    arrays, keys = {}, []
     try:
-        table = precompute_risk_table(
-            maneuvers, geometry, n=args.samples, seed=args.seed, window=args.window
-        )
+        for key in itertools.combinations(sorted(tubes), 2):
+            pair = sample_pair_risk(
+                key, tubes[key[0]], tubes[key[1]], geometry, n=args.samples, seed=args.seed
+            )
+            if pair is not None:
+                arrays[f"matrix_{len(keys)}"] = pair.matrix
+                arrays[f"table_{len(keys)}"] = pair.table
+                keys.append(key)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    table.save(args.out)
-    print(f"table {table.axis_sizes} (window {table.window}) -> {args.out}")
+    np.savez(args.out, pairs=np.array(keys, dtype=str).reshape(-1, 2), **arrays)
+    print(f"{len(keys)} of {math.comb(len(tubes), 2)} tube pairs interact -> {args.out}")
     return 0
 
 
@@ -429,12 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     i = psub.add_parser("intent", help="posterior over candidate tubes")
     i.add_argument("--pft", nargs="+", required=True)
     i.add_argument("--observed", required=True)
-    r = psub.add_parser("risk-table", help="precompute a progression risk table")
+    r = psub.add_parser("risk-table", help="sample the risk table of every tube pair")
     r.add_argument("--pft", nargs="+", required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--samples", type=int, default=10_000)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--window", type=int, default=None)
     r.add_argument("--length", type=float, default=4.5)
     r.add_argument("--width", type=float, default=2.0)
     p.set_defaults(func=cmd_pft)

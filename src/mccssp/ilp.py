@@ -690,7 +690,8 @@ def _dp_certificate(model: IlpModel) -> SolveResult | None:
     coupled only by the summed risk rows.  The utility-optimal least-risk
     policy is optimal when it fits every budget; the instance is infeasible
     when the summed least risks exceed a budget by more than
-    RISK_VERIFY_SLACK.  Anything in between is left to the MIP.
+    RISK_VERIFY_SLACK, a verdict checked as HiGHS's is (see
+    ``_checked_infeasible``).  Anything in between is left to the MIP.
     """
     members = [v for point in model.instance.interactions for v in point.members]
     if len(set(members)) < len(members):
@@ -701,7 +702,7 @@ def _dp_certificate(model: IlpModel) -> SolveResult | None:
     for n, j in enumerate(criteria):
         least = sum(dp.least_risk[n] for dp in passes.values())
         if least > budgets[j] + RISK_VERIFY_SLACK:
-            return SolveResult(status="infeasible", decided_by="dp")
+            return _checked_infeasible(model, "dp", "the DP certificate")
 
     utility = 0.0
     risks = [0.0] * len(criteria)
@@ -736,13 +737,7 @@ def _highs_verdict(model: IlpModel | PathModel, time_limit) -> SolveResult:
     status, x, objective = ScipyHighsBackend().solve(model.matrix, time_limit)
     budgets = model.instance.risk_budgets
     if status == "infeasible":
-        _, risks, over = _default_action_plan(model)
-        if not over:
-            raise SolverFailure(
-                f"HiGHS answered infeasible, but the default-action policy fits every "
-                f"budget: risks {risks} within budgets {budgets}"
-            )
-        return SolveResult(status="infeasible", decided_by=decided_by)
+        return _checked_infeasible(model, decided_by, "HiGHS")
     if x is None:
         return _default_action_fallback(model)
     read = _read_paths if paths else _read_occupancy
@@ -815,6 +810,19 @@ def _default_action_plan(model: IlpModel | PathModel) -> tuple:
     risks = {j: execution_risk(instance, layers, policy, j) for j in model.criteria}
     over = {j: r for j, r in risks.items() if r > instance.risk_budgets[j]}
     return policy, risks, over
+
+
+def _checked_infeasible(model: IlpModel | PathModel, decided_by: str, who: str) -> SolveResult:
+    """An infeasible verdict, checked against the default-action plan: a
+    plan that fits every budget is a feasible witness, so ``who``'s verdict
+    is then a SolverFailure that names both sides."""
+    _, risks, over = _default_action_plan(model)
+    if not over:
+        raise SolverFailure(
+            f"{who} answered infeasible, but the default-action policy fits every "
+            f"budget: risks {risks} within budgets {model.instance.risk_budgets}"
+        )
+    return SolveResult(status="infeasible", decided_by=decided_by)
 
 
 def _default_action_fallback(model: IlpModel | PathModel) -> SolveResult:

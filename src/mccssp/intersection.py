@@ -37,7 +37,6 @@ be saved with ``io.save_instance`` and solved again from the file.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import time
@@ -55,13 +54,7 @@ from .model import (
     state_risk_tilde,
 )
 from .oracles import fcfs_plan
-from .pft import (
-    Pft,
-    VehicleGeometry,
-    pft_from_path,
-    step_probability_matrix,
-    window_risk_table,
-)
+from .pft import PairRisk, Pft, VehicleGeometry, pft_from_path, sample_pair_risk
 
 SIDES = ("N", "E", "S", "W")
 # per side an outer lane 0 (straight) and an inner lane 1 (left turn)
@@ -207,19 +200,6 @@ def _require_unit(name: str, value) -> None:
         raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
-@dataclass
-class PairRisk:
-    """Step-probability matrix and windowed risk table for one ordered
-    variant pair (axis 0 = first variant)."""
-
-    variants: tuple
-    matrix: np.ndarray
-    table: np.ndarray  # (len1 + 1, len2 + 1)
-
-    def lookup(self, axis1: int, axis2: int) -> float:
-        return float(self.table[axis1, axis2])
-
-
 class Scenario:
     """Built scenario: lanes, lazily constructed tubes and pair tables.
     Raises ValueError on a config that no run can use."""
@@ -303,24 +283,14 @@ class Scenario:
         return self._tubes[variant]
 
     def pair_risk(self, va: tuple, vb: tuple) -> PairRisk | None:
-        """Risk structure for an unordered variant pair, or None when its
-        sampled step matrix is all zero: the pair never interacts."""
+        """``sample_pair_risk`` of an unordered variant pair at the
+        scenario's sample count and seed, sampled once: None when the pair
+        never interacts."""
         key = (va, vb) if va <= vb else (vb, va)
         if key not in self._pairs:
-            t1, t2 = self.tube(key[0]), self.tube(key[1])
-            digest = hashlib.md5(repr(key).encode()).digest()
-            pair_seed = int(
-                np.random.SeedSequence(
-                    (self.config.mc_seed, int.from_bytes(digest[:8], "little"))
-                ).generate_state(1)[0]
-            )
-            matrix = step_probability_matrix(
-                t1, t2, self.geometry, self.geometry,
-                n=self.config.mc_samples, seed=pair_seed,
-            )
-            self._pairs[key] = (
-                PairRisk(key, matrix, window_risk_table(matrix, max(len(t1), len(t2))))
-                if matrix.any() else None
+            self._pairs[key] = sample_pair_risk(
+                key, self.tube(key[0]), self.tube(key[1]), self.geometry,
+                n=self.config.mc_samples, seed=self.config.mc_seed,
             )
         return self._pairs[key]
 

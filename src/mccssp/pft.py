@@ -1,6 +1,6 @@
 """Probabilistic flow tubes: fitting from sampled trajectories, alignment
-and clustering, Bayesian intent posteriors, Monte Carlo pairwise collision
-risk, and offline risk tables.
+and clustering, Bayesian intent posteriors, and Monte Carlo pairwise
+collision risk, sampled offline into one table per tube pair.
 
 A flow tube is a time-indexed sequence of planar Gaussians describing a
 maneuver with tracking uncertainty.  Collision probabilities between two
@@ -12,6 +12,7 @@ sampling exactly.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -133,10 +134,6 @@ class VehicleGeometry:
         """Circle centers relative to the vehicle's position, (3, 2)."""
         direction = np.array([math.cos(heading), math.sin(heading)])
         return np.outer(self.circle_offsets, direction)
-
-    def circle_centers(self, positions: np.ndarray, heading: float) -> np.ndarray:
-        """Circle centers for sampled positions (n, 2) -> (n, 3, 2)."""
-        return positions[:, None, :] + self.offsets_at(heading)[None, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -453,89 +450,8 @@ def collision_prob_at(
     )
 
 
-def pairwise_risk(
-    p1: Pft,
-    p2: Pft,
-    tau: int,
-    g1: VehicleGeometry,
-    g2: VehicleGeometry,
-    n: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    start1: int = 0,
-    start2: int = 0,
-    frozen1: bool = False,
-    frozen2: bool = False,
-) -> float:
-    """Collision risk over steps t = 0..tau (inclusive of both ends).
-
-    A frozen vehicle holds its start index (waiting); a moving one advances
-    one tube index per step and must cover the whole window.  Per-step
-    samples use the shared per-cell streams, so a risk-table entry built
-    with the same seed reproduces this value exactly.
-    """
-    for tube, start, frozen, who in ((p1, start1, frozen1, "p1"), (p2, start2, frozen2, "p2")):
-        last = start if frozen else start + tau
-        if last > len(tube) - 1:
-            raise ValueError(f"{who} does not cover {tau} steps from index {start}")
-    probs = []
-    for t in range(tau + 1):
-        i1 = start1 if frozen1 else start1 + t
-        i2 = start2 if frozen2 else start2 + t
-        probs.append(
-            collision_prob_at(p1, i1, p2, i2, g1, g2, n, seed=cell_seed(seed, 0, i1, i2))
-        )
-    return state_risk_tilde(probs)
-
-
 # ---------------------------------------------------------------------------
-# offline risk tables
-
-
-@dataclass
-class RiskTable:
-    """Dense lookup over maneuver progressions.
-
-    Axis value 0 means waiting frozen at the maneuver's entry point; value
-    q >= 1 means executing at tube index q - 1.  Each entry stores the
-    collision risk over the next ``window`` steps (steps past a tube's end
-    contribute nothing: the vehicle has left)."""
-
-    maneuvers: tuple
-    window: int
-    values: np.ndarray
-    n_samples: int
-    seed: int
-
-    def lookup(self, progressions) -> float:
-        return float(self.values[tuple(int(p) for p in progressions)])
-
-    @property
-    def axis_sizes(self) -> tuple:
-        return self.values.shape
-
-    def save(self, path: str) -> None:
-        header = json.dumps(
-            {
-                "maneuvers": list(self.maneuvers),
-                "window": self.window,
-                "n_samples": self.n_samples,
-                "seed": self.seed,
-                "dims": list(self.values.shape),
-            }
-        )
-        np.savez(path, header=np.frombuffer(header.encode(), dtype=np.uint8), values=self.values)
-
-    @classmethod
-    def load(cls, path: str) -> "RiskTable":
-        data = np.load(path)
-        header = json.loads(bytes(data["header"]).decode())
-        return cls(
-            maneuvers=tuple(header["maneuvers"]),
-            window=int(header["window"]),
-            values=data["values"],
-            n_samples=int(header["n_samples"]),
-            seed=int(header["seed"]),
-        )
+# offline pair tables
 
 
 def step_probability_matrix(
@@ -614,53 +530,42 @@ def window_risk_table(step_matrix: np.ndarray, window: int) -> np.ndarray:
     return table
 
 
-def precompute_risk_table(
-    maneuvers: dict,
-    geometry: VehicleGeometry | dict,
-    n: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    window: int | None = None,
-) -> RiskTable:
-    """Fill the full product-of-progressions table for one interaction.
+@dataclass
+class PairRisk:
+    """Step-probability matrix and windowed risk table for one tube pair
+    (axis 0 = the first tube of ``key``)."""
 
-    ``maneuvers`` maps name -> Pft (sorted name order fixes the axes).  For
-    more than two maneuvers, entries aggregate pair risks with the
-    one-minus-product rule.
-    """
-    names = tuple(sorted(maneuvers))
-    tubes = [maneuvers[name] for name in names]
-    geom = (
-        {name: geometry for name in names}
-        if isinstance(geometry, VehicleGeometry)
-        else dict(geometry)
+    key: tuple
+    matrix: np.ndarray
+    table: np.ndarray  # (len1 + 1, len2 + 1)
+
+    def lookup(self, axis1: int, axis2: int) -> float:
+        return float(self.table[axis1, axis2])
+
+
+def sample_pair_risk(
+    key: tuple,
+    p1: Pft,
+    p2: Pft,
+    geometry: VehicleGeometry,
+    n: int,
+    seed: int,
+) -> PairRisk | None:
+    """The offline table of one unordered tube pair, or None when its
+    sampled step matrix is all zero: the pair never interacts.
+
+    ``key`` names the pair, with ``p1`` and ``p2`` in its order.  The
+    pair's sample streams are seeded from ``seed`` and an md5 of
+    ``repr(key)``, so a pair's table does not depend on which other pairs
+    are sampled, and the window spans the longer tube."""
+    digest = hashlib.md5(repr(key).encode()).digest()
+    pair_seed = int(
+        np.random.SeedSequence((seed, int.from_bytes(digest[:8], "little"))).generate_state(1)[0]
     )
-    if window is None:
-        window = max(len(t) for t in tubes)
-    sizes = tuple(len(t) + 1 for t in tubes)
-
-    pair_list = list(itertools.combinations(range(len(names)), 2))
-    pair_tables = [
-        window_risk_table(
-            step_probability_matrix(
-                tubes[a], tubes[b], geom[names[a]], geom[names[b]], n, seed, pair_index
-            ),
-            window,
-        )
-        for pair_index, (a, b) in enumerate(pair_list)
-    ]
-
-    values = np.zeros(sizes)
-    for combo in itertools.product(*(range(size) for size in sizes)):
-        values[combo] = state_risk_tilde(
-            table[combo[a], combo[b]] for table, (a, b) in zip(pair_tables, pair_list)
-        )
-    return RiskTable(
-        maneuvers=names,
-        window=window,
-        values=values,
-        n_samples=n,
-        seed=seed,
-    )
+    matrix = step_probability_matrix(p1, p2, geometry, geometry, n=n, seed=pair_seed)
+    if not matrix.any():
+        return None
+    return PairRisk(key, matrix, window_risk_table(matrix, max(len(p1), len(p2))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,22 @@
-"""Small hand-built instances shared by the test modules."""
+"""Small hand-built instances shared by the test modules, and the cell
+streams of the pair-table builder."""
+
+import hashlib
+
+import numpy as np
 
 from mccssp.model import AgentMdp, InteractionPoint, MccSspInstance, StateRisk
+from mccssp.pft import cell_seed
+
+
+def pair_cell_stream(key, seed, i1, i2):
+    """The cell stream ``pft.sample_pair_risk`` draws cell (i1, i2) of pair
+    ``key`` from: the pair's seed from the base seed and an md5 of
+    ``repr(key)``, then the shared cell seed."""
+    digest = hashlib.md5(repr(key).encode()).digest()
+    entropy = (seed, int.from_bytes(digest[:8], "little"))
+    pair_seed = int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    return cell_seed(pair_seed, 0, i1, i2)
 
 
 def make_risky_safe_instance(delta=0.1, horizon=1):

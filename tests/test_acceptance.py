@@ -456,14 +456,14 @@ def test_flow_tube_suite():
     from scipy.stats import norm
 
     from mccssp.model import state_risk_tilde
+    from builders import pair_cell_stream
     from mccssp.pft import (
         Pft,
         VehicleGeometry,
         collision_prob_at,
         intent_posterior,
-        pairwise_risk,
         pft_from_path,
-        precompute_risk_table,
+        sample_pair_risk,
     )
 
     start = time.perf_counter()
@@ -490,12 +490,15 @@ def test_flow_tube_suite():
     # table entries reproduce direct sampling exactly per seed
     pa = pft_from_path(np.array([[-20.0, 0.0], [20.0, 0.0]]), speed=8.0, seed=1, label="a")
     pb = pft_from_path(np.array([[0.0, -20.0], [0.0, 20.0]]), speed=8.0, seed=2, label="b")
-    table = precompute_risk_table({"a": pa, "b": pb}, geometry, n=2000, seed=9, window=6)
-    q1, q2 = len(pa) // 2 + 1, len(pb) // 2 + 1
-    direct = pairwise_risk(
-        pa, pb, 6, geometry, geometry, 2000, seed=9, start1=q1 - 1, start2=q2 - 1
+    pair = sample_pair_risk(("a", "b"), pa, pb, geometry, n=2000, seed=9)
+    q1, q2 = len(pa) // 2, len(pb) // 2 - 5  # b five steps behind a: a partial overlap
+    direct = state_risk_tilde(
+        collision_prob_at(pa, q1 - 1 + t, pb, q2 - 1 + t, geometry, geometry, 2000,
+                          seed=pair_cell_stream(("a", "b"), 9, q1 - 1 + t, q2 - 1 + t))
+        for t in range(min(len(pa) - q1 + 1, len(pb) - q2 + 1))
     )
-    assert table.lookup((q1, q2)) == direct
+    assert 0.0 < direct < 1.0
+    assert pair.lookup(q1, q2) == direct
 
     # posterior concentrates given a full-length prefix far beyond 3 sigma
     means = np.stack([np.linspace(0, 10, 15), np.zeros(15)], axis=1)
@@ -510,6 +513,6 @@ def test_flow_tube_suite():
     print(
         f"PASS flow-tube suite: window formula exact; sampler vs analytic gap "
         f"{mc_gap:.4f} <= {3.0 / math.sqrt(n):.4f}; table == direct sampling "
-        f"({table.lookup((q1, q2)):.4f}); posterior {posterior['gen']:.4f} >= 0.99; "
+        f"({pair.lookup(q1, q2):.4f}); posterior {posterior['gen']:.4f} >= 0.99; "
         f"{time.perf_counter() - start:.1f}s"
     )

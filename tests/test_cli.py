@@ -183,6 +183,43 @@ def test_intersect_sim_with_two_workers_writes_the_one_worker_csv(tmp_path):
     assert outs[1] == outs[0]
 
 
+def test_a_serial_run_samples_its_tables_on_one_scenario(tmp_path, monkeypatch):
+    # every job shares one scenario, and so its pair tables; each row is
+    # still the row of the same job on a fresh scenario
+    from mccssp import intersection
+
+    Scenario, built = intersection.Scenario, []
+
+    class CountedScenario(Scenario):
+        def __init__(self, config):
+            built.append(config)
+            super().__init__(config)
+
+    monkeypatch.setattr(intersection, "Scenario", CountedScenario)
+    overrides = {"mc_samples": 300, "enabled_lanes": ["N0", "E0", "W1"]}
+    spath = tmp_path / "scenario.json"
+    spath.write_text(json.dumps(overrides))
+    out_file = tmp_path / "sim.csv"
+    assert main(["intersect-sim", str(spath), "--planners", "mccssp,fcfs", "--deltas", "0.05",
+                 "--hv-fractions", "0.3,0.0", "--replications", "1", "--duration", "6",
+                 "--seed", "4", "--out", str(out_file)]) == 0
+    assert len(built) == 1
+    lines = out_file.read_text().splitlines()[1:]
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [(r["planner"], r["hv_fraction"]) for r in rows] == [
+        ("mccssp", "0.3"), ("mccssp", "0.0"), ("fcfs", "0.3"), ("fcfs", "0.0"),
+    ]
+    for row in rows:
+        config = intersection.ScenarioConfig(**overrides, hv_fraction=float(row["hv_fraction"]))
+        metrics = intersection.simulate(
+            Scenario(config), planner=row["planner"], duration_s=6.0,
+            seed=4, horizon=1, delta=0.05,
+        )
+        assert row["throughput_vpm"] == str(round(metrics.throughput_vpm, 4))
+        assert row["max_wait_s"] == str(round(metrics.max_wait_s, 2))
+        assert row["collisions"] == str(metrics.collisions)
+
+
 def test_bad_scenario_field_is_input_error(tmp_path, capsys):
     spath = str(tmp_path / "scenario.json")
     open(spath, "w").write(json.dumps({"bogus_field": 1}))
@@ -273,12 +310,39 @@ def test_pft_pipeline(tmp_path, capsys):
 
     table_path = str(tmp_path / "table.npz")
     code = main(["pft", "risk-table", "--pft", prefix + "0.json", prefix + "1.json",
-                 "--out", table_path, "--samples", "300", "--window", "5"])
+                 "--out", table_path, "--samples", "300"])
     assert code == 0
-    from mccssp.pft import RiskTable
+    assert capsys.readouterr().out == f"0 of 1 tube pairs interact -> {table_path}\n"
+    with np.load(table_path) as data:  # the two bundles run 30 m apart
+        assert list(data) == ["pairs"] and data["pairs"].shape == (0, 2)
 
-    table = RiskTable.load(table_path)
-    assert table.window == 5 and len(table.axis_sizes) == 2
+
+def test_risk_table_writes_the_builder_table_of_every_interacting_pair(tmp_path, capsys):
+    from mccssp.pft import VehicleGeometry, pft_from_path, sample_pair_risk
+
+    ends = {"north": [[0.0, -20.0], [0.0, 20.0]], "far": [[-20.0, 90.0], [20.0, 90.0]],
+            "east": [[-20.0, 0.0], [20.0, 0.0]]}
+    tubes, paths = {}, []
+    for seed, (label, path) in enumerate(ends.items()):
+        tubes[label] = pft_from_path(np.array(path), speed=8.0, seed=seed, label=label)
+        paths.append(str(tmp_path / f"{label}.json"))
+        open(paths[-1], "w").write(tubes[label].to_json())
+    table_path = str(tmp_path / "table.npz")
+    argv = ["pft", "risk-table", "--pft", *paths, "--out", table_path,
+            "--samples", "200", "--seed", "3", "--length", "5.0", "--width", "1.8"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"1 of 3 tube pairs interact -> {table_path}\n"
+    geometry = VehicleGeometry(5.0, 1.8)
+    with np.load(table_path) as data:
+        assert data["pairs"].tolist() == [["east", "north"]]
+        assert sorted(data) == ["matrix_0", "pairs", "table_0"]
+        for key in (("east", "far"), ("far", "north")):
+            assert sample_pair_risk(key, tubes[key[0]], tubes[key[1]], geometry, 200, 3) is None
+        pair = sample_pair_risk(
+            ("east", "north"), tubes["east"], tubes["north"], geometry, 200, 3
+        )
+        assert np.array_equal(data["matrix_0"], pair.matrix)
+        assert np.array_equal(data["table_0"], pair.table)
 
 
 def test_risk_table_without_samples_is_input_error(tmp_path, capsys):

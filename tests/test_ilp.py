@@ -8,6 +8,7 @@ import scipy.optimize
 from scipy.optimize._highspy._core import HighsStatus, _Highs
 
 from builders import make_chain_instance, make_risky_safe_instance
+from mccssp import ilp
 from mccssp.grid import GridSpec, generate_grid_instance
 from mccssp.ilp import (
     RISK_VERIFY_SLACK,
@@ -191,6 +192,22 @@ def test_certificate_leaves_binding_budget_to_the_mip():
 def test_certificate_proves_infeasible():
     result, _ = _certified(generate_grid_instance(GridSpec(seed=28, **BINDING)))
     assert (result.status, result.decided_by) == ("infeasible", "dp")
+
+
+def test_dp_infeasible_verdict_beside_a_fitting_default_plan_is_a_solver_failure(monkeypatch):
+    # the default action "safe" carries no risk, so a least risk above the
+    # budget contradicts the default plan
+    backward_dp = ilp.backward_dp
+    monkeypatch.setattr(
+        ilp, "backward_dp",
+        lambda layers_i, criteria: dataclasses.replace(
+            backward_dp(layers_i, criteria), least_risk=(1.0,) * len(criteria)
+        ),
+    )
+    with pytest.raises(
+        SolverFailure, match="the DP certificate answered infeasible, but the default-action"
+    ):
+        solve_instance(make_risky_safe_instance(delta=0.1))
 
 
 def test_certificate_skips_shared_agents():

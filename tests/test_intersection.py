@@ -283,7 +283,7 @@ def test_case_study_scenario_shape():
 def test_build_samples_every_pair_table_planning_needs(monkeypatch):
     # a fresh scenario, so no table is cached before the build; the HV is
     # still ambiguous between two maneuvers
-    from mccssp import intersection
+    from mccssp import pft
     from mccssp.oracles import fcfs_plan
 
     scenario = default_scenario(mc_samples=200)
@@ -295,9 +295,9 @@ def test_build_samples_every_pair_table_planning_needs(monkeypatch):
     # the HV's entry branches two ways, so both of its variants are planned
     assert len(inst.agents["v00001"].transition[(("hv", 0), "hv")]) == 2
     calls = []
-    sample = intersection.step_probability_matrix
+    sample = pft.step_probability_matrix
     monkeypatch.setattr(
-        intersection, "step_probability_matrix",
+        pft, "step_probability_matrix",
         lambda *args, **kwargs: calls.append(args) or sample(*args, **kwargs),
     )
     layers = reachable_layers(inst)

@@ -1,14 +1,13 @@
-import json
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from builders import pair_cell_stream
 from mccssp.model import state_risk_tilde
 from mccssp.pft import (
     Pft,
-    RiskTable,
     VehicleGeometry,
     _chol2,
     cell_seed,
@@ -17,10 +16,9 @@ from mccssp.pft import (
     dtw_align,
     dtw_cost_and_path,
     intent_posterior,
-    pairwise_risk,
     pft_fit,
     pft_from_path,
-    precompute_risk_table,
+    sample_pair_risk,
     step_probability_matrix,
     synthesize_tracking_runs,
 )
@@ -219,15 +217,12 @@ def test_step_risks_combine_one_minus_product():
         state_risk_tilde([1.1])
 
 
-def test_pairwise_risk_extremes_and_length_check():
+def test_pair_table_extremes():
     overlap = Pft(1 / 6, np.zeros((8, 2)), np.tile(1e-9 * np.eye(2), (8, 1, 1)))
     apart = Pft(1 / 6, np.full((8, 2), 500.0), np.tile(1e-9 * np.eye(2), (8, 1, 1)))
-    assert pairwise_risk(overlap, overlap, 7, GEOM, GEOM, 100, 0) == 1.0
-    assert pairwise_risk(overlap, apart, 7, GEOM, GEOM, 100, 0) == 0.0
-    with pytest.raises(ValueError):
-        pairwise_risk(overlap, apart, 9, GEOM, GEOM, 100, 0)
-    # frozen side may sit anywhere regardless of window length
-    assert pairwise_risk(overlap, apart, 7, GEOM, GEOM, 100, 0, frozen2=True) == 0.0
+    pair = sample_pair_risk(("a", "b"), overlap, overlap, GEOM, 100, 0)
+    assert pair.table.shape == (9, 9) and (pair.table == 1.0).all()
+    assert sample_pair_risk(("a", "b"), overlap, apart, GEOM, 100, 0) is None
 
 
 @pytest.fixture(scope="module")
@@ -237,21 +232,32 @@ def crossing_tubes():
     return pa, pb
 
 
-def test_risk_table_shape_with_wait_slot():
+def test_risk_table_shape_with_wait_slot(crossing_tubes):
+    pa, pb = crossing_tubes
+    pair = sample_pair_risk(("a", "b"), pa, pb, GEOM, 50, 0)
+    assert pair.key == ("a", "b") and pair.matrix.shape == (len(pa), len(pb))
+    assert pair.table.shape == (len(pa) + 1, len(pb) + 1)
     tube = Pft(1 / 6, line(10), np.tile(0.01 * np.eye(2), (10, 1, 1)), label="m1")
     other = Pft(1 / 6, line(10, y=100.0), np.tile(0.01 * np.eye(2), (10, 1, 1)), label="m2")
-    table = precompute_risk_table({"m1": tube, "m2": other}, GEOM, n=50, seed=0, window=9)
-    assert table.axis_sizes == (11, 11)
-    assert table.values.size == 121
-    assert float(table.values.max()) == 0.0  # paths never meet
+    assert sample_pair_risk(("m1", "m2"), tube, other, GEOM, 50, 0) is None  # never meet
 
 
 def test_risk_table_matches_direct_sampling_per_seed(crossing_tubes):
     pa, pb = crossing_tubes
-    table = precompute_risk_table({"a": pa, "b": pb}, GEOM, n=1500, seed=9, window=6)
-    q1, q2 = len(pa) // 2 + 1, len(pb) // 2 + 1
-    direct = pairwise_risk(pa, pb, 6, GEOM, GEOM, 1500, seed=9, start1=q1 - 1, start2=q2 - 1)
-    assert table.lookup((q1, q2)) == direct
+    pair = sample_pair_risk(("a", "b"), pa, pb, GEOM, 1500, 9)
+    mid = len(pa) // 2 + 1
+    entries = {}
+    for q1, q2 in ((mid, mid), (mid - 1, mid - 6), (mid - 6, mid - 1)):
+        # both advance one index per step; the window spans the longer
+        # tube, and a step past either tube's end counts nothing
+        steps = range(min(len(pa) - q1 + 1, len(pb) - q2 + 1))
+        entries[q1, q2] = state_risk_tilde(
+            collision_prob_at(pa, q1 - 1 + t, pb, q2 - 1 + t, GEOM, GEOM, 1500,
+                              seed=pair_cell_stream(("a", "b"), 9, q1 - 1 + t, q2 - 1 + t))
+            for t in steps
+        )
+        assert pair.lookup(q1, q2) == entries[q1, q2], (q1, q2)
+    assert any(0.0 < value < 1.0 for value in entries.values())
 
 
 def test_step_matrix_equals_cellwise_direct_calls(crossing_tubes):
@@ -346,37 +352,13 @@ def test_step_matrix_needs_a_sample(crossing_tubes):
     with pytest.raises(ValueError, match="need at least one sample"):
         step_probability_matrix(pa, pb, GEOM, GEOM, 0, seed=4)
     with pytest.raises(ValueError, match="need at least one sample"):
-        precompute_risk_table({"a": pa, "b": pb}, GEOM, n=0, seed=4)
+        sample_pair_risk(("a", "b"), pa, pb, GEOM, 0, 4)
 
 
 def test_risk_table_monotone_in_step_probabilities():
     probs = [0.05, 0.1, 0.2]
     accumulated = [state_risk_tilde([p] * 4) for p in probs]
     assert accumulated == sorted(accumulated)
-
-
-def test_risk_table_serialization_roundtrip(tmp_path, crossing_tubes):
-    pa, pb = crossing_tubes
-    table = precompute_risk_table({"a": pa, "b": pb}, GEOM, n=200, seed=3, window=4)
-    path = str(tmp_path / "table.npz")
-    table.save(path)
-    clone = RiskTable.load(path)
-    assert clone.maneuvers == table.maneuvers
-    assert clone.window == table.window
-    assert clone.seed == table.seed and clone.n_samples == table.n_samples
-    assert np.array_equal(clone.values, table.values)
-
-
-def test_risk_table_loads_a_header_with_an_interaction_label(tmp_path):
-    # tables saved before the label was dropped carry an "interaction" key
-    header = {"maneuvers": ["a", "b"], "window": 4, "n_samples": 200, "seed": 3,
-              "interaction": "north-west", "dims": [2, 2]}
-    path = str(tmp_path / "old.npz")
-    np.savez(path, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-             values=np.eye(2))
-    table = RiskTable.load(path)
-    assert table.maneuvers == ("a", "b") and table.window == 4
-    assert np.array_equal(table.values, np.eye(2))
 
 
 def test_pft_serialization_roundtrip():
@@ -401,6 +383,6 @@ def test_three_circles_cover_rectangle():
         corners = np.array(
             [[sx * length / 2, sy * width / 2] for sx in (-1, 1) for sy in (-1, 1)]
         )
-        centers = geom.circle_centers(np.zeros((1, 2)), 0.0)[0]
+        centers = geom.offsets_at(0.0)
         for corner in corners:
             assert min(np.linalg.norm(corner - c) for c in centers) <= geom.radius + 1e-9
