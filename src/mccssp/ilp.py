@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate, product
 
 import numpy as np
-import scipy.optimize
 from scipy import sparse
+from scipy.optimize._highspy import _core as highs
 
 from .model import LayeredSpace, MccSspInstance, OwnRows, reachable_layers, skey
 from .oracles import backward_dp
@@ -596,46 +595,77 @@ def build_path_model(instance: MccSspInstance, layers: LayeredSpace) -> PathMode
 
 
 class ScipyHighsBackend:
-    """HiGHS through scipy.optimize.milp, with the feasibility-jump
-    heuristic off: it costs about 8 ms on every model that reaches the
-    branch-and-bound root, and on time-limited occupancy solves it found
-    no incumbent that HiGHS missed without it.  ``_highs_verdict`` is its
-    one caller in the library."""
+    """HiGHS through the binding that scipy ships
+    (``scipy.optimize._highspy._core``), given what ``scipy.optimize.milp``
+    gives it: the CSC arrays of the matrix, the negated objective, every
+    column in [0, 1], the row bounds and the integrality; no console log,
+    ``mip_rel_gap`` DEFAULT_MIP_REL_GAP, presolve on, the feasibility-jump
+    heuristic off and the time limit when one is given.  One fresh solver
+    per call, so ties break as they do through ``milp``.  Feasibility jump
+    costs about 8 ms on every model that reaches the branch-and-bound root,
+    and on time-limited occupancy solves it found no incumbent that HiGHS
+    missed without it.  ``_highs_verdict`` is its one caller in the
+    library."""
 
     def solve(self, matrix: MatrixForm, time_limit: float | None = None):
         """Returns (status, x, objective), status one of optimal, infeasible
         or time_limit (x is the incumbent, or None when there is none);
-        anything else is a failure.  Every model the builders make has
+        anything else, and a non-finite objective or coefficient or a NaN
+        row bound, is a SolverFailure.  Every model the builders make has
         columns and rows."""
+        a = matrix.a.tocsc()
+        data = a.data.astype(np.float64)
+        # HiGHS minimizes, so the objective is negated both ways
+        cost = -np.asarray(matrix.objective, dtype=np.float64)
+        row_lower = np.asarray(matrix.row_lower, dtype=np.float64)
+        row_upper = np.asarray(matrix.row_upper, dtype=np.float64)
+        if not (np.isfinite(cost).all() and np.isfinite(data).all()):
+            raise SolverFailure("HiGHS input: non-finite objective or matrix coefficient")
+        if np.isnan(row_lower).any() or np.isnan(row_upper).any():
+            raise SolverFailure("HiGHS input: NaN row bound")
+        n_rows, n_cols = a.shape
+        lp = highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
+        lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = a.indptr
+        lp.a_matrix_.index_ = a.indices
+        lp.a_matrix_.value_ = data
+        lp.col_cost_ = cost
+        lp.col_lower_ = np.zeros(n_cols)
+        lp.col_upper_ = np.ones(n_cols)
+        lp.row_lower_ = row_lower
+        lp.row_upper_ = row_upper
+        lp.integrality_ = [highs.HighsVarType(int(i)) for i in matrix.integrality]
         options = {
+            "log_to_console": False,
             "mip_rel_gap": DEFAULT_MIP_REL_GAP,
-            "presolve": True,
+            "presolve": "on",
             "mip_heuristic_run_feasibility_jump": False,
         }
         if time_limit is not None:
             options["time_limit"] = float(time_limit)
-        # milp minimizes, so the objective is negated both ways; it passes
-        # options it does not know to HiGHS verbatim, with a warning
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", message="Unrecognized options detected", category=RuntimeWarning
-            )
-            res = scipy.optimize.milp(
-                c=-matrix.objective,
-                constraints=scipy.optimize.LinearConstraint(
-                    matrix.a, matrix.row_lower, matrix.row_upper
-                ),
-                integrality=matrix.integrality,
-                bounds=scipy.optimize.Bounds(0, 1),
-                options=options,
-            )
-        if res.status == 0:
-            return "optimal", res.x, -res.fun
-        if res.status == 2:
+        solver = highs._Highs()
+        for name, value in options.items():
+            if solver.setOptionValue(name, value) != highs.HighsStatus.kOk:
+                raise SolverFailure(f"HiGHS rejected option {name}={value!r}")
+        if solver.passModel(lp) == highs.HighsStatus.kError:
+            status = highs.HighsModelStatus.kModelError
+        else:
+            solver.run()
+            status = solver.getModelStatus()
+        if status == highs.HighsModelStatus.kInfeasible:
             return "infeasible", None, float("nan")
-        if res.status == 1:
-            return "time_limit", res.x, float("nan") if res.x is None else -res.fun
-        raise SolverFailure(f"HiGHS: {res.message}")
+        if status == highs.HighsModelStatus.kOptimal:
+            answer = "optimal"
+        elif status == highs.HighsModelStatus.kTimeLimit:
+            answer = "time_limit"
+        else:
+            raise SolverFailure(f"HiGHS: {solver.modelStatusToString(status)}")
+        objective = solver.getInfo().objective_function_value
+        if objective == highs.kHighsInf:  # a time-out before any incumbent
+            return answer, None, float("nan")
+        return answer, np.array(solver.getSolution().col_value), -objective
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ state within the horizon are ever materialized.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -262,8 +263,10 @@ def validate_instance(instance: MccSspInstance) -> list:
                     )
         if isinstance(agent.utility, Mapping):
             for (s, a), u in agent.utility.items():
-                if u < 0:
-                    report.append(f"agent {vid!r}: negative utility {u!r} at ({s!r}, {a!r})")
+                if not 0.0 <= u < math.inf:
+                    report.append(
+                        f"agent {vid!r}: utility {u!r} at ({s!r}, {a!r}) is not finite and >= 0"
+                    )
 
     covered = set()
     owners = {}

@@ -411,9 +411,11 @@ def _cell_prob(rng, n, mean1, chol1t, mean2, chol2t, diffs, touch2, ring2) -> fl
     return count / n
 
 
-def cell_seed(seed: int, pair_index: int, idx1: int, idx2: int):
-    """Deterministic per-cell sample stream shared by tables and direct calls."""
-    return np.random.SeedSequence((int(seed), int(pair_index), int(idx1), int(idx2)))
+def cell_seed(seed: int, idx1: int, idx2: int):
+    """Deterministic per-cell sample stream shared by tables and direct
+    calls.  The 0 in the entropy keeps every stream as it was when each
+    table pair had its own index there."""
+    return np.random.SeedSequence((int(seed), 0, int(idx1), int(idx2)))
 
 
 def collision_prob_at(
@@ -461,7 +463,6 @@ def step_probability_matrix(
     g2: VehicleGeometry,
     n: int,
     seed: int,
-    pair_index: int = 0,
 ) -> np.ndarray:
     """Per-index-pair collision probabilities, skipping pairs whose means
     are too far apart for any sampled overlap (``SIGMA_REACH`` standard
@@ -487,7 +488,7 @@ def step_probability_matrix(
     touch2 = (g1.radius + g2.radius) ** 2
     diffs, ring2 = _ring_checks(offs1[cells1], offs2[cells2], touch2)
     for k, (i1, i2) in enumerate(zip(cells1.tolist(), cells2.tolist())):
-        rng = np.random.default_rng(cell_seed(seed, pair_index, i1, i2))
+        rng = np.random.default_rng(cell_seed(seed, i1, i2))
         out[i1, i2] = _cell_prob(
             rng, n, means1[i1], chol1t[i1], means2[i2], chol2t[i2],
             diffs[k], touch2, ring2[k],

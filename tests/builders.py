@@ -16,7 +16,7 @@ def pair_cell_stream(key, seed, i1, i2):
     digest = hashlib.md5(repr(key).encode()).digest()
     entropy = (seed, int.from_bytes(digest[:8], "little"))
     pair_seed = int(np.random.SeedSequence(entropy).generate_state(1)[0])
-    return cell_seed(pair_seed, 0, i1, i2)
+    return cell_seed(pair_seed, i1, i2)
 
 
 def make_risky_safe_instance(delta=0.1, horizon=1):

@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core as highs
 
 from builders import make_chain_instance, make_risky_safe_instance
 from mccssp.model import reachable_layers
@@ -31,3 +34,35 @@ def small_scenario():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def highs_runs(monkeypatch):
+    """Every HiGHS solver object the backend runs, in order."""
+    ran = []
+
+    class Recorded(highs._Highs):
+        def run(self):
+            ran.append(self)
+            return super().run()
+
+    monkeypatch.setattr(highs, "_Highs", Recorded)
+    return ran
+
+
+@pytest.fixture
+def highs_stops_without_incumbent(monkeypatch):
+    """HiGHS stopped by its time limit before finding any incumbent: every
+    run returns at once with kTimeLimit and an infinite objective."""
+
+    class Stopped(highs._Highs):
+        def run(self):
+            return highs.HighsStatus.kWarning
+
+        def getModelStatus(self):
+            return highs.HighsModelStatus.kTimeLimit
+
+        def getInfo(self):
+            return SimpleNamespace(objective_function_value=highs.kHighsInf)
+
+    monkeypatch.setattr(highs, "_Highs", Stopped)

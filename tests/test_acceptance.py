@@ -13,7 +13,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.stats import spearmanr, wilcoxon
 
 from mccssp import grid
@@ -232,26 +231,21 @@ def test_grid_scaling_trend():
     )
 
 
-def test_grid_binding_budget_trend(monkeypatch):
+def test_grid_binding_budget_trend(monkeypatch, highs_runs):
     # 30% risky cells of risk 0.3 under a 0.1 budget: from h=3 on the
     # risk-blind optimum is over budget, so the trend includes MIP solves
     start = time.perf_counter()
     agents = [1, 2, 3]
     horizons = [1, 2, 3, 4]
     budget = 0.1
-    milp_calls = []
-    milp = scipy.optimize.milp
-    monkeypatch.setattr(
-        scipy.optimize, "milp", lambda *a, **k: milp_calls.append(1) or milp(*a, **k)
-    )
     highs_calls = {}
     solve = grid.solve
 
     def counted_solve(model, **kwargs):
-        before = len(milp_calls)
+        before = len(highs_runs)
         result = solve(model, **kwargs)
         cell = (len(model.instance.agents), model.instance.horizon)
-        highs_calls[cell] = len(milp_calls) - before
+        highs_calls[cell] = len(highs_runs) - before
         return result
 
     monkeypatch.setattr(grid, "solve", counted_solve)
@@ -272,7 +266,7 @@ def test_grid_binding_budget_trend(monkeypatch):
         assert rho >= 0.0, (a, rho)
     print(
         f"PASS grid binding-budget trend: {len(rows)} cells optimal within the "
-        f"{budget} budget, {len(milp_calls)} HiGHS calls, build+solve seconds "
+        f"{budget} budget, {len(highs_runs)} HiGHS calls, build+solve seconds "
         "non-decreasing (Spearman >= 0) in horizon; times "
         + "; ".join(
             f"a={a}: " + ",".join(f"{times[(a, h)]:.3f}" for h in horizons)

@@ -98,6 +98,14 @@ def test_invalid_instance_is_input_error(tmp_path, capsys):
     assert "invalid" in capsys.readouterr().err
 
 
+def test_nan_utility_in_an_instance_file_is_reported_invalid(instance_file, capsys):
+    data = json.loads(open(instance_file).read())
+    data["agents"]["v"]["utility"][0][2] = float("nan")
+    open(instance_file, "w").write(json.dumps(data))
+    assert main(["solve", instance_file]) == 1
+    assert "invalid: agent 'v': utility nan at" in capsys.readouterr().err
+
+
 def test_grid_bench_csv(tmp_path, capsys):
     out_file = str(tmp_path / "bench.csv")
     code = main([

@@ -1,9 +1,7 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from mccssp.grid import (
     GridCells,
@@ -133,15 +131,9 @@ def test_width_height_capacity_validation():
         GridSpec(risky_risk_value=1.5).validate()
 
 
-def test_benchmark_rows_records_solver_failure_and_goes_on(monkeypatch):
+def test_benchmark_rows_records_solver_failure_and_goes_on(highs_stops_without_incumbent):
     # HiGHS stops without an incumbent, and at h=3 the default all-east
     # policy exceeds the 0.1 budget, so solve raises SolverFailure there
-    monkeypatch.setattr(
-        scipy.optimize, "milp",
-        lambda *args, **kwargs: SimpleNamespace(
-            status=1, x=None, fun=None, message="time limit reached"
-        ),
-    )
     spec = GridSpec(width=50, height=50, seed=54, risky_fraction=0.3,
                     risky_risk_value=0.3, risk_budget=0.1)
     rows = benchmark_rows(spec, agent_counts=[1], horizons=[3, 1])

@@ -1,11 +1,12 @@
+import ast
 import dataclasses
+import inspect
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.optimize
-from scipy.optimize._highspy._core import HighsStatus, _Highs
+from scipy import sparse
+from scipy.optimize._highspy import _core as highs
 
 from builders import make_chain_instance, make_risky_safe_instance
 from mccssp import ilp
@@ -169,17 +170,17 @@ def test_lp_export_reads_back_into_highs(make, tmp_path):
     matrix = build_ilp(inst, reachable_layers(inst)).matrix
     path = tmp_path / "model.lp"
     path.write_text(matrix.to_lp_text())
-    highs = _Highs()
-    highs.setOptionValue("output_flag", False)
-    assert highs.readModel(str(path)) == HighsStatus.kOk
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    assert solver.readModel(str(path)) == highs.HighsStatus.kOk
     # one name per column and row: a clash would merge them
-    assert (highs.getNumCol(), highs.getNumRow(), highs.getNumNz()) == (
+    assert (solver.getNumCol(), solver.getNumRow(), solver.getNumNz()) == (
         matrix.n_cols, matrix.n_rows, matrix.a.nnz
     )
-    assert highs.run() == HighsStatus.kOk
+    assert solver.run() == highs.HighsStatus.kOk
     status, _, objective = ScipyHighsBackend().solve(matrix)
     assert status == "optimal"
-    assert highs.getInfo().objective_function_value == pytest.approx(objective, abs=1e-9)
+    assert solver.getInfo().objective_function_value == pytest.approx(objective, abs=1e-9)
 
 
 def test_certificate_leaves_binding_budget_to_the_mip():
@@ -228,18 +229,12 @@ def test_shared_stochastic_agent_goes_to_the_occupancy_mip():
     assert (result.status, result.decided_by) == ("optimal", "mip")
 
 
-def test_no_incumbent_with_unsafe_default_raises(monkeypatch):
+def test_no_incumbent_with_unsafe_default_raises(highs_stops_without_incumbent):
     # the default action is the risky one: 0.2 risk against a 0.1 budget
     inst = make_risky_safe_instance(delta=0.1)
     agent = dataclasses.replace(inst.agents["v"], wait_action="risky")
     inst = dataclasses.replace(inst, agents={"v": agent})
-    monkeypatch.setattr(
-        scipy.optimize, "milp",
-        lambda *args, **kwargs: SimpleNamespace(
-            status=1, x=None, fun=None, message="time limit reached"
-        ),
-    )
-    with pytest.raises(SolverFailure):
+    with pytest.raises(SolverFailure, match="time limit without an incumbent"):
         solve_instance(inst, time_limit=1.0)
 
 
@@ -472,31 +467,151 @@ def test_path_model_lp_export_reads_back_into_highs(tmp_path):
         matrix = model.matrix
         path = tmp_path / f"paths{exported}.lp"
         path.write_text(matrix.to_lp_text())
-        highs = _Highs()
-        highs.setOptionValue("output_flag", False)
-        assert highs.readModel(str(path)) == HighsStatus.kOk
-        assert (highs.getNumCol(), highs.getNumRow(), highs.getNumNz()) == (
+        solver = highs._Highs()
+        solver.setOptionValue("output_flag", False)
+        assert solver.readModel(str(path)) == highs.HighsStatus.kOk
+        assert (solver.getNumCol(), solver.getNumRow(), solver.getNumNz()) == (
             matrix.n_cols, matrix.n_rows, matrix.a.nnz
         )
         exported += 1
     assert exported > 3
 
 
-def test_backend_turns_feasibility_jump_off_without_warning(risky_safe, monkeypatch):
+def test_backend_turns_feasibility_jump_off_without_warning(risky_safe, highs_runs):
     matrix = build_ilp(risky_safe, reachable_layers(risky_safe)).matrix
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert ScipyHighsBackend().solve(matrix)[0] == "optimal"
-    seen = {}
-    real = scipy.optimize.milp
+        assert ScipyHighsBackend().solve(matrix, time_limit=2.5)[0] == "optimal"
+    untimed, timed = highs_runs
+    for solver in highs_runs:
+        assert solver.getOptionValue("mip_heuristic_run_feasibility_jump") == (
+            highs.HighsStatus.kOk, False
+        )
+        assert solver.getOptionValue("log_to_console")[1] is False
+        assert solver.getOptionValue("presolve")[1] == "on"
+        assert solver.getOptionValue("mip_rel_gap")[1] == ilp.DEFAULT_MIP_REL_GAP
+    assert untimed.getOptionValue("time_limit")[1] == highs._Highs().getOptionValue("time_limit")[1]
+    assert timed.getOptionValue("time_limit")[1] == 2.5
 
-    def stub(*args, **kwargs):
-        seen.update(kwargs["options"])
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "milp", stub)
-    ScipyHighsBackend().solve(matrix)
-    assert seen["mip_heuristic_run_feasibility_jump"] is False
+# every member of scipy's HiGHS binding the backend uses; ROADMAP item 2
+# accepts the private module, and this pins what the backend needs of it
+HIGHS_MEMBERS = {
+    "HighsLp", "HighsModelStatus", "HighsStatus", "HighsVarType", "MatrixFormat", "_Highs",
+    "kHighsInf",
+}
+HIGHS_MODEL_STATUSES = {"kInfeasible", "kModelError", "kOptimal", "kTimeLimit"}
+HIGHS_SOLVER_METHODS = {
+    "getInfo", "getModelStatus", "getSolution", "modelStatusToString", "passModel", "run",
+    "setOptionValue",
+}
+HIGHS_LP_FIELDS = {
+    "num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_",
+    "row_upper_", "integrality_",
+}
+HIGHS_MATRIX_FIELDS = {"num_col_", "num_row_", "format_", "start_", "index_", "value_"}
+
+
+def test_backend_uses_only_the_pinned_members_of_the_highs_binding():
+    tree = ast.parse(inspect.getsource(ScipyHighsBackend))
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert {n.attr for n in reads if ast.unparse(n.value) == "highs"} == HIGHS_MEMBERS
+    assert {
+        n.attr for n in reads if ast.unparse(n.value) == "highs.HighsModelStatus"
+    } == HIGHS_MODEL_STATUSES
+    assert {n.attr for n in reads if ast.unparse(n.value) == "solver"} == HIGHS_SOLVER_METHODS
+    assert {n.attr for n in reads if ast.unparse(n.value) == "lp"} == HIGHS_LP_FIELDS | {"a_matrix_"}
+    assert {n.attr for n in reads if ast.unparse(n.value) == "lp.a_matrix_"} == HIGHS_MATRIX_FIELDS
+    assert ilp.highs is highs
+    for name in HIGHS_MEMBERS:
+        assert hasattr(highs, name), name
+    for name in HIGHS_MODEL_STATUSES:
+        assert name in highs.HighsModelStatus.__members__, name
+    for name in HIGHS_SOLVER_METHODS:
+        assert callable(getattr(highs._Highs, name)), name
+    lp = highs.HighsLp()
+    for name in HIGHS_LP_FIELDS:
+        assert hasattr(lp, name), name
+    for name in HIGHS_MATRIX_FIELDS:
+        assert hasattr(lp.a_matrix_, name), name
+    assert [highs.HighsVarType(i).name for i in (0, 1)] == ["kContinuous", "kInteger"]
+    assert highs.kHighsInf == float("inf")
+    assert {"kOk", "kError"} <= set(highs.HighsStatus.__members__)
+    assert "kColwise" in highs.MatrixFormat.__members__
+    assert hasattr(highs.HighsInfo(), "objective_function_value")
+    assert hasattr(highs.HighsSolution(), "col_value")
+
+
+def _two_binaries(**changes):
+    """max x0 + 2 x1 subject to x0 + x1 <= 1, both binary."""
+    fields = dict(
+        a=sparse.csr_matrix(np.ones((1, 2))),
+        row_lower=np.array([-np.inf]),
+        row_upper=np.array([1.0]),
+        objective=np.array([1.0, 2.0]),
+        integrality=np.array([1, 1]),
+    )
+    return ilp.MatrixForm(**{**fields, **changes})
+
+
+def test_backend_answers_optimal_and_infeasible():
+    status, x, objective = ScipyHighsBackend().solve(_two_binaries())
+    assert (status, x.tolist(), objective) == ("optimal", [0.0, 1.0], 2.0)
+    infeasible = _two_binaries(row_lower=np.array([3.0]), row_upper=np.array([4.0]))
+    status, x, objective = ScipyHighsBackend().solve(infeasible)
+    assert (status, x) == ("infeasible", None) and np.isnan(objective)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(objective=np.array([np.nan, 2.0])), "non-finite objective"),
+        (dict(objective=np.array([1.0, -np.inf])), "non-finite objective"),
+        (dict(a=sparse.csr_matrix(np.array([[np.inf, 1.0]]))), "matrix coefficient"),
+        (dict(a=sparse.csr_matrix(np.array([[1.0, np.nan]]))), "matrix coefficient"),
+        (dict(row_lower=np.array([np.nan])), "NaN row bound"),
+        (dict(row_upper=np.array([np.nan])), "NaN row bound"),
+    ],
+)
+def test_backend_rejects_non_finite_input_before_highs_sees_it(changes, message, highs_runs):
+    with pytest.raises(SolverFailure, match=message):
+        ScipyHighsBackend().solve(_two_binaries(**changes))
+    assert highs_runs == []
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        dict(row_lower=np.array([np.inf]), row_upper=np.array([np.inf])),
+        dict(a=sparse.csr_matrix(np.array([[1e300, 1.0]]))),
+    ],
+    ids=["infinite-row-lower-bound", "huge-coefficient"],
+)
+def test_model_highs_rejects_is_a_solver_failure_not_infeasible(changes):
+    # scipy.optimize.milp reported these HiGHS model errors as infeasible
+    with pytest.raises(SolverFailure, match="HiGHS: Model error"):
+        ScipyHighsBackend().solve(_two_binaries(**changes))
+
+
+def test_time_out_with_an_incumbent_returns_it(monkeypatch):
+    class TimedOut(highs._Highs):
+        def getModelStatus(self):
+            return highs.HighsModelStatus.kTimeLimit
+
+    monkeypatch.setattr(highs, "_Highs", TimedOut)
+    status, x, objective = ScipyHighsBackend().solve(_two_binaries(), time_limit=1.0)
+    assert (status, x.tolist(), objective) == ("time_limit", [0.0, 1.0], 2.0)
+
+
+def test_other_highs_status_is_a_solver_failure(monkeypatch):
+    class Interrupted(highs._Highs):
+        def getModelStatus(self):
+            return highs.HighsModelStatus.kInterrupt
+
+    monkeypatch.setattr(highs, "_Highs", Interrupted)
+    with pytest.raises(SolverFailure, match="HiGHS: Interrupted"):
+        ScipyHighsBackend().solve(_two_binaries())
 
 
 def test_agent_beside_a_branching_agent_is_left_to_the_occupancy_mip():

@@ -1,9 +1,7 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from mccssp import intersection
 from mccssp.ilp import DEFAULT_MIP_REL_GAP, build_ilp, solve, solve_instance
@@ -105,14 +103,7 @@ def test_exactly_one_of_colocated_pair_goes(small_scenario):
     assert result.risks["collision"] <= 0.05 + 1e-9
 
 
-def test_no_incumbent_falls_back_to_all_wait(small_scenario, monkeypatch):
-    # HiGHS stopped by its time limit before finding any incumbent
-    monkeypatch.setattr(
-        scipy.optimize, "milp",
-        lambda *args, **kwargs: SimpleNamespace(
-            status=1, x=None, fun=None, message="time limit reached"
-        ),
-    )
+def test_no_incumbent_falls_back_to_all_wait(small_scenario, highs_stops_without_incumbent):
     vehicles = _avs([("N0", 0), ("W1", 0)])
     inst, info = build_intersection_instance(
         small_scenario, vehicles, green_side="N", horizon=2, delta=0.05

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 
 from builders import make_chain_instance, make_coinflip_pair_instance
@@ -55,6 +58,18 @@ def test_bad_budget_and_horizon_reported(risky_safe):
     report = validate_instance(bad)
     assert any("horizon" in line for line in report)
     assert any("budget" in line for line in report)
+
+
+@pytest.mark.parametrize("u", [-1.0, math.nan, math.inf])
+def test_utility_that_is_negative_or_not_finite_is_an_instance_error(risky_safe, u):
+    agent = risky_safe.agents["v"]
+    bad = dataclasses.replace(agent, utility={**agent.utility, ("start", "risky"): u})
+    inst = dataclasses.replace(risky_safe, agents={"v": bad})
+    assert validate_instance(inst) == [
+        f"agent 'v': utility {u!r} at ('start', 'risky') is not finite and >= 0"
+    ]
+    with pytest.raises(InstanceError, match=r"agent 'v': utility .* at \('start', 'risky'\)"):
+        reachable_layers(inst)
 
 
 def test_default_owner_assignment():
