@@ -122,8 +122,8 @@ def cmd_solve(args) -> int:
                 for (state, k), action in sorted(table.items(), key=repr):
                     print(f"policy i={i} k={k} state={state!r} -> {action!r}")
     if args.oracle:
+        from .model import agree
         from .oracles import CapExceeded, brute_force_optimal
-        from .selftest import OBJECTIVE_TOL
 
         try:
             oracle = brute_force_optimal(instance, layers)
@@ -131,14 +131,14 @@ def cmd_solve(args) -> int:
             print(f"oracle skipped: {exc}")
             return 0
         if result.status == "optimal" and oracle.status == "optimal":
+            same = agree(result.objective, oracle.objective)
             gap = abs(result.objective - oracle.objective)
-            agree = gap <= OBJECTIVE_TOL
-            verdict = "oracle agrees" if agree else f"ORACLE MISMATCH (gap {gap})"
+            verdict = "oracle agrees" if same else f"ORACLE MISMATCH (gap {gap})"
             print(f"objective {result.objective:.6f}, {verdict}")
         else:
-            agree = (result.status != "optimal") == (oracle.status != "optimal")
-            print(f"oracle status {oracle.status}: {'agrees' if agree else 'MISMATCH'}")
-        if not agree:
+            same = (result.status != "optimal") == (oracle.status != "optimal")
+            print(f"oracle status {oracle.status}: {'agrees' if same else 'MISMATCH'}")
+        if not same:
             return 2
     return 0
 

@@ -37,23 +37,27 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize._highspy import _core as highs
 
-from .model import LayeredSpace, MccSspInstance, OwnRows, reachable_layers, skey
+from .model import (
+    TOL,
+    LayeredSpace,
+    MccSspInstance,
+    OwnRows,
+    agree,
+    reachable_layers,
+    skey,
+    within,
+)
 from .oracles import backward_dp
-from .risk import Policy, evaluate_table, execution_risk, expected_utility
-
-DEFAULT_MIP_REL_GAP = 1e-6
-RISK_VERIFY_SLACK = 1e-6
-# relative gap below the risk-blind bound that still counts as float noise
-DP_UTILITY_SLACK = 1e-9
+from .risk import Policy, evaluate_table, score_policy
 
 
 class BudgetExhausted(ValueError):
-    """Initial states alone exceed a risk budget (reduced budget < 0)."""
+    """The initial states' summed intrinsic risk alone is not within a risk
+    budget; ``over`` maps each such criterion to that risk."""
 
-    def __init__(self, slacks: dict):
-        self.slacks = slacks
-        bad = {j: s for j, s in slacks.items() if s < 0}
-        super().__init__(f"risk budget exhausted by initial states: {bad}")
+    def __init__(self, over: dict):
+        self.over = over
+        super().__init__(f"risk budget exhausted by initial states: {over}")
 
 
 class SolverFailure(RuntimeError):
@@ -195,6 +199,8 @@ class SolveResult:
     certificate), "paths" (HiGHS on the path formulation), "mip" (HiGHS
     on the occupancy formulation) or "fallback" (the default-action policy
     after a time-out without incumbent); None when no solve ran.
+    ``objective`` and ``risks`` are the expected utility and execution
+    risks of ``policy`` (``risk.score_policy``), whatever decided it.
     ``flows`` holds the occupancy MIP's own flows, per flow index (None
     for utility, then each criterion) as {(i, k, state, action): value};
     it is empty for every other verdict."""
@@ -211,15 +217,16 @@ class SolveResult:
 
 def _reduced_budgets(instance: MccSspInstance, layers: LayeredSpace) -> dict:
     """Each risk budget minus the initial states' summed intrinsic risk;
-    raises BudgetExhausted when one is negative."""
-    delta_tilde = {
-        j: instance.risk_budgets[j]
-        - sum(layers_i.state_risks(j)[layers_i.layers[0][0]] for layers_i in layers)
+    raises BudgetExhausted when that risk is not within a budget."""
+    budgets = instance.risk_budgets
+    initial = {
+        j: sum(layers_i.state_risks(j)[layers_i.layers[0][0]] for layers_i in layers)
         for j in instance.criteria
     }
-    if any(slack < 0 for slack in delta_tilde.values()):
-        raise BudgetExhausted(delta_tilde)
-    return delta_tilde
+    over = {j: r for j, r in initial.items() if not within(r, budgets[j])}
+    if over:
+        raise BudgetExhausted(over)
+    return {j: budgets[j] - r for j, r in initial.items()}
 
 
 def _occupancy_layout(layers: LayeredSpace) -> tuple:
@@ -599,7 +606,7 @@ class ScipyHighsBackend:
     (``scipy.optimize._highspy._core``), given what ``scipy.optimize.milp``
     gives it: the CSC arrays of the matrix, the negated objective, every
     column in [0, 1], the row bounds and the integrality; no console log,
-    ``mip_rel_gap`` DEFAULT_MIP_REL_GAP, presolve on, the feasibility-jump
+    ``mip_rel_gap`` ``model.TOL``, presolve on, the feasibility-jump
     heuristic off and the time limit when one is given.  One fresh solver
     per call, so ties break as they do through ``milp``.  Feasibility jump
     costs about 8 ms on every model that reaches the branch-and-bound root,
@@ -639,7 +646,7 @@ class ScipyHighsBackend:
         lp.integrality_ = [highs.HighsVarType(int(i)) for i in matrix.integrality]
         options = {
             "log_to_console": False,
-            "mip_rel_gap": DEFAULT_MIP_REL_GAP,
+            "mip_rel_gap": TOL,
             "presolve": "on",
             "mip_heuristic_run_feasibility_jump": False,
         }
@@ -688,12 +695,13 @@ def _flow_rows(model: IlpModel, x: np.ndarray, fn: int):
 
 def extract_policy(model: IlpModel, x: np.ndarray) -> Policy:
     """Deterministic policy from the utility flow: the max-flow action per
-    reachable (state, time); zero-flow states get the default action."""
+    reachable (state, time); states whose flow is at most TOL get the
+    default action."""
     assignments = {i: {} for i in model.x_start}
     for i, layers_i, k, s, row in _flow_rows(model, x, 0):
         best = max(row)
         assignments[i][(s, k)] = (
-            layers_i.joint_actions[row.index(best)] if best > 1e-9
+            layers_i.joint_actions[row.index(best)] if best > TOL
             else layers_i.default_joint_action
         )
     return Policy(assignments)
@@ -718,10 +726,11 @@ def _dp_certificate(model: IlpModel) -> SolveResult | None:
     Applies when no agent belongs to two interaction points: the model then
     has no consistency rows, and its interactions are independent SSPs
     coupled only by the summed risk rows.  The utility-optimal least-risk
-    policy is optimal when it fits every budget; the instance is infeasible
-    when the summed least risks exceed a budget by more than
-    RISK_VERIFY_SLACK, a verdict checked as HiGHS's is (see
-    ``_checked_infeasible``).  Anything in between is left to the MIP.
+    policy is optimal when its utility agrees with the risk-blind bound and
+    its risks are within every budget; the instance is infeasible when the
+    summed least risks are not within a budget, a verdict checked as
+    HiGHS's is (see ``_checked_infeasible``).  Anything in between is left
+    to the MIP.
     """
     members = [v for point in model.instance.interactions for v in point.members]
     if len(set(members)) < len(members):
@@ -731,49 +740,40 @@ def _dp_certificate(model: IlpModel) -> SolveResult | None:
     passes = {layers_i.id: backward_dp(layers_i, criteria) for layers_i in model.layers}
     for n, j in enumerate(criteria):
         least = sum(dp.least_risk[n] for dp in passes.values())
-        if least > budgets[j] + RISK_VERIFY_SLACK:
+        if not within(least, budgets[j]):
             return _checked_infeasible(model, "dp", "the DP certificate")
 
-    utility = 0.0
-    risks = [0.0] * len(criteria)
-    for layers_i in model.layers:
-        u, r = evaluate_table(layers_i, passes[layers_i.id].table, criteria)
-        utility += u
-        risks = [total + x for total, x in zip(risks, r)]
-    bound = sum(dp.value for dp in passes.values())
-    if bound - utility > DP_UTILITY_SLACK * max(1.0, abs(bound)):
-        return None
-    if any(r > budgets[j] for j, r in zip(criteria, risks)):
-        return None
     policy = Policy({i: dp.table for i, dp in passes.items()})
+    utility, risks = score_policy(model.layers, policy, criteria)
+    if not agree(utility, sum(dp.value for dp in passes.values())):
+        return None
+    if not all(within(r, budgets[j]) for j, r in risks.items()):
+        return None
     return SolveResult(
-        status="optimal",
-        objective=utility,
-        policy=policy,
-        risks=dict(zip(criteria, risks)),
-        decided_by="dp",
+        status="optimal", objective=utility, policy=policy, risks=risks, decided_by="dp"
     )
 
 
 def _highs_verdict(model: IlpModel | PathModel, time_limit) -> SolveResult:
     """HiGHS's answer on a built model, read back and checked.  An optimal
-    policy, or a time-limited incumbent's, over a budget by more than
-    RISK_VERIFY_SLACK is a SolverFailure, and so is an infeasible verdict
-    on a model whose default-action policy fits every budget; a time-out
-    without incumbent falls back to that policy.  Only reading the solution
-    depends on the formulation."""
+    policy, or a time-limited incumbent's, whose risk is not within a
+    budget is a SolverFailure, and so is an infeasible verdict on a model
+    whose default-action policy fits every budget; a time-out without
+    incumbent falls back to that policy.  The objective and risks are the
+    returned policy's own, not HiGHS's objective.  Only reading the
+    solution depends on the formulation."""
     paths = isinstance(model, PathModel)
     decided_by = "paths" if paths else "mip"
-    status, x, objective = ScipyHighsBackend().solve(model.matrix, time_limit)
+    status, x, _ = ScipyHighsBackend().solve(model.matrix, time_limit)
     budgets = model.instance.risk_budgets
     if status == "infeasible":
         return _checked_infeasible(model, decided_by, "HiGHS")
     if x is None:
         return _default_action_fallback(model)
     read = _read_paths if paths else _read_occupancy
-    objective, policy, flows, risks = read(model, x, objective)
+    objective, policy, flows, risks = read(model, x)
     for j, value in risks.items():
-        if value > budgets[j] + RISK_VERIFY_SLACK:
+        if not within(value, budgets[j]):
             raise SolverFailure(
                 f"extracted {status} policy violates budget {j!r}: {value} > {budgets[j]}"
             )
@@ -783,28 +783,28 @@ def _highs_verdict(model: IlpModel | PathModel, time_limit) -> SolveResult:
     )
 
 
-def _read_occupancy(model: IlpModel, x: np.ndarray, objective: float) -> tuple:
-    """(objective, policy, flows, risks) of an occupancy solution: HiGHS's
-    objective, the max-flow policy, the nonzero flows and the policy's
-    execution risk per criterion."""
+def _read_occupancy(model: IlpModel, x: np.ndarray) -> tuple:
+    """(objective, policy, flows, risks) of an occupancy solution: the
+    max-flow policy, its ``score_policy`` utility and risks, and the
+    nonzero flows."""
     policy = extract_policy(model, x)
     flows = {}
     for fn, j in enumerate((None,) + model.criteria):
         per = {}
         for i, layers_i, k, s, row in _flow_rows(model, x, fn):
             for a, v in zip(layers_i.joint_actions, row):
-                if abs(v) > 1e-12:
+                if v != 0.0:
                     per[(i, k, s, a)] = v
         flows[j] = per
-    risks = {j: execution_risk(model.instance, model.layers, policy, j) for j in model.criteria}
-    return float(objective), policy, flows, risks
+    utility, risks = score_policy(model.layers, policy, model.criteria)
+    return utility, policy, flows, risks
 
 
-def _read_paths(model: PathModel, x: np.ndarray, _objective: float) -> tuple:
+def _read_paths(model: PathModel, x: np.ndarray) -> tuple:
     """(objective, policy, no flows, risks) of a path solution: one path per
     decision agent, followed at every interaction.  The objective and the
     risks are sums over the interactions of the chosen combinations'
-    ``evaluate_table`` values, in interaction order, as ``execution_risk``
+    ``evaluate_table`` values, in interaction order, as ``score_policy``
     sums them: the policy takes each combination's open-loop actions at
     every state, so the recursion on it gives the same values."""
     xs = x.tolist()
@@ -824,29 +824,29 @@ def _read_paths(model: PathModel, x: np.ndarray, _objective: float) -> tuple:
 
 
 def _default_action_plan(model: IlpModel | PathModel) -> tuple:
-    """(policy, risks, over) of the default-joint-action policy (all-wait
-    in the intersection, where it is feasible by construction): its risk
-    per criterion, and those of them over their budgets."""
-    instance, layers = model.instance, model.layers
+    """(policy, utility, risks, over) of the default-joint-action policy
+    (all-wait in the intersection, where it is feasible by construction):
+    its ``score_policy`` values, and the risks not within their budgets."""
     policy = Policy(
         {
             layers_i.id: {
                 (s, k): layers_i.default_joint_action
                 for k, s in layers_i.decision_points()
             }
-            for layers_i in layers
+            for layers_i in model.layers
         }
     )
-    risks = {j: execution_risk(instance, layers, policy, j) for j in model.criteria}
-    over = {j: r for j, r in risks.items() if r > instance.risk_budgets[j]}
-    return policy, risks, over
+    utility, risks = score_policy(model.layers, policy, model.criteria)
+    budgets = model.instance.risk_budgets
+    over = {j: r for j, r in risks.items() if not within(r, budgets[j])}
+    return policy, utility, risks, over
 
 
 def _checked_infeasible(model: IlpModel | PathModel, decided_by: str, who: str) -> SolveResult:
     """An infeasible verdict, checked against the default-action plan: a
     plan that fits every budget is a feasible witness, so ``who``'s verdict
     is then a SolverFailure that names both sides."""
-    _, risks, over = _default_action_plan(model)
+    _, _, risks, over = _default_action_plan(model)
     if not over:
         raise SolverFailure(
             f"{who} answered infeasible, but the default-action policy fits every "
@@ -858,13 +858,12 @@ def _checked_infeasible(model: IlpModel | PathModel, decided_by: str, who: str) 
 def _default_action_fallback(model: IlpModel | PathModel) -> SolveResult:
     """The default-action policy as a time_limit result when it fits every
     budget; SolverFailure otherwise."""
-    policy, risks, over = _default_action_plan(model)
+    policy, utility, risks, over = _default_action_plan(model)
     if over:
         raise SolverFailure(
             "HiGHS reached its time limit without an incumbent, and the "
             f"default-action policy exceeds budgets: {over}"
         )
-    utility = expected_utility(model.instance, model.layers, policy)
     return SolveResult(
         status="time_limit", objective=utility, policy=policy, risks=risks, decided_by="fallback"
     )

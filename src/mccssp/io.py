@@ -99,6 +99,14 @@ def instance_to_json(instance: MccSspInstance) -> str:
     )
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer field; a float or a boolean is an InstanceError
+    naming the field, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_json(text: str) -> MccSspInstance:
     data = json.loads(text)
     version = data.get("format_version")
@@ -126,6 +134,7 @@ def instance_from_json(text: str) -> MccSspInstance:
 
     interactions = []
     for pt in data["interactions"]:
+        point_id = _integer(pt["id"], "interaction id")
         members = tuple(_freeze(v) for v in pt["members"])
         risk = {}
         for j, body in pt["risk"].items():
@@ -144,13 +153,13 @@ def instance_from_json(text: str) -> MccSspInstance:
                     }
                 unknown = [v for v in members if v not in agents]
                 if unknown:
-                    raise InstanceError(f"interaction {pt['id']}: unknown agent {unknown[0]!r}")
+                    raise InstanceError(f"interaction {point_id}: unknown agent {unknown[0]!r}")
                 risk[j] = StateRisk.from_pairwise(
                     tables, members, [agents[v].states for v in members]
                 )
         interactions.append(
             InteractionPoint(
-                id=int(pt["id"]),
+                id=point_id,
                 members=members,
                 utility_owners=tuple(bool(b) for b in pt["utility_owners"]),
                 risk=risk,
@@ -160,7 +169,7 @@ def instance_from_json(text: str) -> MccSspInstance:
     return MccSspInstance(
         agents=agents,
         interactions=tuple(interactions),
-        horizon=int(data["horizon"]),
+        horizon=_integer(data["horizon"], "horizon"),
         risk_budgets={j: float(d) for j, d in data["risk_budgets"].items()},
     )
 

@@ -19,7 +19,22 @@ Action = Hashable
 AgentId = Hashable
 Criterion = str
 
-PROB_TOL = 1e-9
+TOL = 1e-9
+"""The one tolerance of every verdict in the pipeline: budgets, objective
+agreement, ties and probability sums.  It is relative to max(1,
+|reference|); risks, budgets and probabilities lie in [0, 1], so for them
+it is an absolute 1e-9.  ``within`` and ``agree`` state the rule, and
+HiGHS's ``mip_rel_gap`` is TOL as well."""
+
+
+def within(value: float, bound: float) -> bool:
+    """``value`` is at most ``bound``, up to TOL relative to max(1, |bound|)."""
+    return value <= bound + TOL * max(1.0, abs(bound))
+
+
+def agree(a: float, b: float) -> bool:
+    """``a`` and ``b`` are equal up to TOL relative to max(1, |a|, |b|)."""
+    return abs(a - b) <= TOL * max(1.0, abs(a), abs(b))
 
 
 def skey(obj) -> str:
@@ -74,10 +89,10 @@ class AgentMdp:
         object.__setattr__(self, "_u", _as_mapping_lookup(self.utility, "utility"))
 
     def successors(self, state: State, action: Action) -> dict:
-        """Successor distribution, renormalized when within PROB_TOL of 1."""
+        """Successor distribution, renormalized when it sums to 1 within TOL."""
         row = dict(self._t(state, action))
         total = sum(row.values())
-        if abs(total - 1.0) > PROB_TOL:
+        if not agree(total, 1.0):
             raise InstanceError(
                 f"transition row for ({state!r}, {action!r}) sums to {total!r}"
             )
@@ -248,7 +263,7 @@ def validate_instance(instance: MccSspInstance) -> list:
                 total = 0.0
                 for succ, p in row.items():
                     total += p
-                    if not 0.0 <= p <= 1.0 + PROB_TOL:
+                    if not (0.0 <= p and within(p, 1.0)):
                         report.append(
                             f"agent {vid!r}: probability {p!r} outside [0,1] at ({s!r}, {a!r})"
                         )
@@ -256,7 +271,7 @@ def validate_instance(instance: MccSspInstance) -> list:
                         report.append(
                             f"agent {vid!r}: successor {succ!r} of ({s!r}, {a!r}) not in states"
                         )
-                if abs(total - 1.0) > PROB_TOL:
+                if not agree(total, 1.0):
                     report.append(
                         f"agent {vid!r}: distribution not normalized at ({s!r}, {a!r}),"
                         f" sums to {total!r}"

@@ -17,11 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InteractionLayers, LayeredSpace, MccSspInstance, skey
+from .model import InteractionLayers, LayeredSpace, MccSspInstance, agree, skey, within
 from .risk import Policy, evaluate_table, interaction_execution_risk
-
-
-UTILITY_TIE_TOL = 1e-12
 
 
 class CapExceeded(RuntimeError):
@@ -54,8 +51,8 @@ def backward_dp(layers_i: InteractionLayers, criteria: tuple = ()) -> BackwardDp
     """Finite-horizon backward value iteration that also tracks risk.
 
     value_k(s) = max_a u(s, a) + sum_s' T(s, a, s') value_{k+1}(s').  At
-    every (s, k) the table picks, among the actions within UTILITY_TIE_TOL
-    (relative) of that max, the one of least execution risk
+    every (s, k) the table picks, among the actions whose value agrees with
+    that max (``model.agree``), the one of least execution risk
     er(s) = rt(s) + (1 - rt(s)) * sum_s' T(s, a, s') er(s'), comparing the
     criteria in order and breaking ties towards the earlier joint action.
     The same recursion with the min over all actions gives, per criterion,
@@ -79,14 +76,13 @@ def backward_dp(layers_i: InteractionLayers, criteria: tuple = ()) -> BackwardDp
                 for a in layers_i.joint_actions
             ]
             best = max(q)
-            tie = best - UTILITY_TIE_TOL * max(1.0, abs(best))
             low = [float("inf")] * len(rts)
             chosen = chosen_er = None
             for a, qa in zip(layers_i.joint_actions, q):
                 succs = edges[(s, a)]
                 for n in range(len(rts)):
                     low[n] = min(low[n], sum(p * nxt_least[succ][n] for succ, p in succs))
-                if qa >= tie:
+                if agree(qa, best):
                     er_a = tuple(
                         rt[s] + (1.0 - rt[s]) * sum(p * nxt_er[succ][n] for succ, p in succs)
                         for n, rt in enumerate(rts)
@@ -286,7 +282,7 @@ def brute_force_optimal(
     assignment in lexicographic enumeration order.
     """
     criteria = instance.criteria
-    budgets = np.array([instance.risk_budgets[j] for j in criteria])
+    budgets = [instance.risk_budgets[j] for j in criteria]
 
     total_policies = 1
     for layers_i in layers:
@@ -364,7 +360,7 @@ def brute_force_optimal(
             return
         for asg, u, r, _ in group_cands[g]:
             nr = [x + y for x, y in zip(risks, r)]
-            if all(v <= b + 1e-12 for v, b in zip(nr, budgets)):
+            if all(within(v, b) for v, b in zip(nr, budgets)):
                 assignments.update(asg)
                 search(g + 1, util + u, nr, assignments)
                 for key in asg:
@@ -445,7 +441,7 @@ def fcfs_plan(
             policy = constant_policy(layers_i, {v: action})
             for j in instance.criteria:
                 risk = interaction_execution_risk(layers_i, policy, j)
-                if risk > per_action_bound + 1e-12:
+                if not within(risk, per_action_bound):
                     return False
         return True
 

@@ -131,6 +131,18 @@ def interaction_execution_risk(
     return evaluate_table(layers_i, table, (criterion,))[1][0]
 
 
+def score_policy(layers: LayeredSpace, policy: Policy, criteria: tuple = ()) -> tuple:
+    """(expected utility, {criterion: execution risk}) of a policy: one
+    ``evaluate_table`` per interaction, summed in layer order.  Every
+    verdict's objective and risks are this score of its policy."""
+    utility, risks = 0.0, [0.0] * len(criteria)
+    for layers_i in layers:
+        u, r = evaluate_table(layers_i, policy.assignments.get(layers_i.id, {}), criteria)
+        utility += u
+        risks = [total + x for total, x in zip(risks, r)]
+    return utility, dict(zip(criteria, risks))
+
+
 def execution_risk(
     instance: MccSspInstance,
     layers: LayeredSpace,
@@ -138,23 +150,19 @@ def execution_risk(
     criterion: Criterion,
 ) -> float:
     """Total execution risk from the initial state: the sum of the
-    per-interaction recursions.  The sum is exact when no agent pair can
-    fail at two interaction points, and an upper bound otherwise.
+    per-interaction recursions (see ``score_policy``).  The sum is exact
+    when no agent pair can fail at two interaction points, and an upper
+    bound otherwise.
     """
-    return sum(
-        interaction_execution_risk(layers_i, policy, criterion) for layers_i in layers
-    )
+    return score_policy(layers, policy, (criterion,))[1][criterion]
 
 
 def expected_utility(
     instance: MccSspInstance, layers: LayeredSpace, policy: Policy
 ) -> float:
     """Expected cumulative utility over decision steps 0..h-1 (see
-    evaluate_table)."""
-    return sum(
-        evaluate_table(layers_i, policy.assignments.get(layers_i.id, {}))[0]
-        for layers_i in layers
-    )
+    ``score_policy``)."""
+    return score_policy(layers, policy)[0]
 
 
 def policy_flows(

@@ -9,7 +9,7 @@ formulation decides them.  The runner draws from ``random_instance``
 instance, that the exact solver and the brute-force oracle agree on
 feasibility and optimal objective, that the returned policy respects
 every budget, and that the linear risk expression matches the recursion
-at the solution.
+at the solution, each up to ``model.TOL`` (``agree`` and ``within``).
 """
 
 from __future__ import annotations
@@ -26,18 +26,16 @@ from .model import (
     InteractionPoint,
     MccSspInstance,
     StateRisk,
+    agree,
     assign_utility_owners,
     reachable_layers,
     validate_instance,
+    within,
 )
 from .oracles import CapExceeded, brute_force_optimal
 from .risk import execution_risk, linear_risk_from_flows, policy_flows
 
 log = logging.getLogger(__name__)
-
-OBJECTIVE_TOL = 1e-6
-RISK_TOL = 1e-9
-LINEAR_FORM_TOL = 1e-9
 
 
 def _random_agent(rng: np.random.Generator, n_states: int, n_actions: int) -> AgentMdp:
@@ -270,7 +268,7 @@ def check_instance(instance: MccSspInstance, cap: int, report: EquivalenceReport
     report.solved += 1
     gap = abs(result.objective - oracle.objective)
     report.max_objective_gap = max(report.max_objective_gap, gap)
-    if gap > OBJECTIVE_TOL:
+    if not agree(result.objective, oracle.objective):
         report.failures.append(
             f"objective mismatch: solver {result.objective!r} vs oracle {oracle.objective!r}"
         )
@@ -283,7 +281,7 @@ def check_instance(instance: MccSspInstance, cap: int, report: EquivalenceReport
         risk = execution_risk(instance, layers, result.policy, j)
         excess = risk - instance.risk_budgets[j]
         report.max_budget_excess = max(report.max_budget_excess, excess)
-        if excess > RISK_TOL:
+        if not within(risk, instance.risk_budgets[j]):
             report.failures.append(
                 f"policy risk {risk!r} exceeds budget {instance.risk_budgets[j]!r} ({j})"
             )
@@ -291,7 +289,7 @@ def check_instance(instance: MccSspInstance, cap: int, report: EquivalenceReport
         linear = linear_risk_from_flows(instance, layers, flows[j], j)
         lgap = abs(linear - risk)
         report.max_linear_form_gap = max(report.max_linear_form_gap, lgap)
-        if lgap > LINEAR_FORM_TOL:
+        if not agree(linear, risk):
             report.failures.append(
                 f"linear form {linear!r} vs recursion {risk!r} at solved flows ({j})"
             )

@@ -1,11 +1,13 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS line
 with its measured numbers (run with -s to see them).
 
-Budgets and tolerances are pinned here: objective agreement 1e-6, risk
-budget slack 1e-9, linear-form identity 1e-9, closed-form chain 1e-12,
-hard one-second planning bound at horizon 1, trend assertions via paired
-one-sided Wilcoxon (p < 0.05), Spearman rank correlations >= 0, and a 99%
-binomial half-width on empirical collision frequency.
+Budgets and tolerances are pinned here: the oracle's objective gap at
+most the library's TOL (1e-9), HiGHS's own occupancy objective within 1e-6
+of the verdict's, risk budget slack 1e-9, linear-form identity 1e-9,
+closed-form chain 1e-12, hard one-second planning bound at horizon 1,
+trend assertions via paired one-sided Wilcoxon (p < 0.05), Spearman rank
+correlations >= 0, and a 99% binomial half-width on empirical collision
+frequency.
 """
 
 import math
@@ -25,7 +27,7 @@ from mccssp.intersection import (
     default_scenario,
     simulate,
 )
-from mccssp.model import reachable_layers, validate_instance
+from mccssp.model import TOL, reachable_layers, validate_instance
 from mccssp.risk import (
     Policy,
     execution_risk,
@@ -83,12 +85,13 @@ def test_oracle_equivalence_200_instances(monkeypatch):
     # (resampled draws are recorded too, so there can be more of them)
     assert len(decided) >= report.dp_decided + report.paths_decided
     assert report.dp_decided > 0
+    assert report.max_objective_gap <= TOL
     mip_gap = _occupancy_mip_gap(decided)
     assert mip_gap <= OBJECTIVE_TOL
     print(
         f"PASS oracle equivalence: 200 instances ({report.solved} solved, "
         f"{report.infeasible} infeasible, {report.budget_exhausted} budget-exhausted), "
-        f"max objective gap {report.max_objective_gap:.2e} <= {OBJECTIVE_TOL}, "
+        f"max objective gap {report.max_objective_gap:.2e} <= {TOL}, "
         f"max budget excess {report.max_budget_excess:.2e} <= {RISK_TOL}, "
         f"{report.seconds:.1f}s; {report.dp_decided} decided by the DP certificate and "
         f"{report.paths_decided} by the path formulation, "
@@ -110,13 +113,14 @@ def test_oracle_equivalence_path_family(monkeypatch):
     # every draw shares a deterministic agent; only the column-count rule
     # may send one to the occupancy formulation
     assert report.paths_decided >= 0.95 * (report.solved + report.infeasible)
+    assert report.max_objective_gap <= TOL
     mip_gap = _occupancy_mip_gap(decided)
     assert mip_gap <= OBJECTIVE_TOL
     print(
         f"PASS path-family oracle equivalence: 150 instances ({report.solved} solved, "
         f"{report.infeasible} infeasible, {report.budget_exhausted} budget-exhausted), "
         f"{report.paths_decided} decided by the path formulation, "
-        f"max objective gap {report.max_objective_gap:.2e}, "
+        f"max objective gap {report.max_objective_gap:.2e} <= {TOL}, "
         f"HiGHS on their occupancy matrices within {mip_gap:.2e}"
     )
 
@@ -277,10 +281,7 @@ def test_grid_binding_budget_trend(monkeypatch, highs_runs):
 
 
 @pytest.mark.slow
-def test_planning_time_envelope_16_avs(monkeypatch):
-    from mccssp import ilp
-
-    monkeypatch.setattr(ilp, "DEFAULT_MIP_REL_GAP", 1e-4)
+def test_planning_time_envelope_16_avs():
     scenario = default_scenario(
         mc_samples=1500, queue_depth=2, lambdas=(1.0, 0.2, 0.5, 0.1)
     )
@@ -326,9 +327,9 @@ def test_planning_time_envelope_16_avs(monkeypatch):
     # decides each cell, within the 20 s limit
     for h in (2, 3, 4):
         assert verdicts[h] == ("optimal", "paths"), "\n".join(report_lines)
-    # the optima, within the solve's relative gap of 1e-4
+    # the optima, given to 4 decimals
     for h, optimum in {1: 60.9112, 2: 93.1364, 3: 105.1203, 4: 140.4470}.items():
-        assert objectives[h] == pytest.approx(optimum, rel=1e-4), "\n".join(report_lines)
+        assert objectives[h] == pytest.approx(optimum, abs=5e-5), "\n".join(report_lines)
     print(
         "PASS planning-time envelope (hard bound h=1): "
         f"mean h=1 plan {mean_h1:.3f}s < 1s; report for 16 AVs, 2 actions:\n"

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import inspect
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from builders import make_chain_instance, make_risky_safe_instance
 from mccssp import ilp
 from mccssp.grid import GridSpec, generate_grid_instance
 from mccssp.ilp import (
-    RISK_VERIFY_SLACK,
     BudgetExhausted,
     ScipyHighsBackend,
     SolverFailure,
@@ -22,15 +22,18 @@ from mccssp.ilp import (
     solve,
     solve_instance,
 )
+from mccssp.io import load_instance
 from mccssp.model import (
+    TOL,
     AgentMdp,
     InteractionPoint,
     MccSspInstance,
     StateRisk,
+    agree,
     reachable_layers,
 )
 from mccssp.oracles import brute_force_optimal, dp_optimal_utility
-from mccssp.risk import execution_risk, linear_risk_from_flows, policy_flows
+from mccssp.risk import execution_risk, expected_utility, linear_risk_from_flows, policy_flows
 
 
 def test_variable_counts_match_closed_form(risky_safe):
@@ -55,9 +58,31 @@ def test_budget_exhausted_when_initial_risk_exceeds_budget():
         0, ("v",), (True,), {"j": StateRisk.from_aggregate({("hot",): 0.2})}
     )
     inst = MccSspInstance({"v": agent}, (point,), 1, {"j": 0.1})
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted, match="'j': 0.2"):
         build_ilp(inst, reachable_layers(inst))
     assert solve_instance(inst).status == "budget_exhausted"
+
+
+def test_initial_risk_within_tol_of_the_budget_leaves_it_open():
+    # 0.1 + 0.2 is 0.30000000000000004 in floating point: within TOL of the
+    # 0.3 budget, as the oracle and the budget checks judge it
+    agent = AgentMdp(
+        states={"hot", "cold"},
+        actions=("a",),
+        transition={("hot", "a"): {"cold": 1.0}, ("cold", "a"): {"cold": 1.0}},
+        utility={("hot", "a"): 1.0, ("cold", "a"): 0.0},
+        initial_state="hot",
+    )
+    points = tuple(
+        InteractionPoint(n, (v,), (True,), {"j": StateRisk.from_aggregate({("hot",): r})})
+        for n, (v, r) in enumerate((("v", 0.1), ("w", 0.2)))
+    )
+    inst = MccSspInstance({"v": agent, "w": agent}, points, 1, {"j": 0.3})
+    layers = reachable_layers(inst)
+    result = solve_instance(inst, layers)
+    assert (result.status, result.risks["j"]) == ("optimal", 0.1 + 0.2)
+    oracle = brute_force_optimal(inst, layers)
+    assert (oracle.status, oracle.objective) == ("optimal", result.objective)
 
 
 def test_solve_picks_safe_under_tight_budget():
@@ -229,6 +254,18 @@ def test_shared_stochastic_agent_goes_to_the_occupancy_mip():
     assert (result.status, result.decided_by) == ("optimal", "mip")
 
 
+def test_occupancy_verdict_objective_is_its_policy_utility():
+    # instance 54 of run_oracle_equivalence(200, seed=3): HiGHS's objective
+    # on it was 10.391409408386297, 1e-6 above the utility of the policy it
+    # returned, 10.3914084083863, which is the oracle's optimum
+    inst = load_instance(str(Path(__file__).parent / "data" / "selftest_seed3_instance54.json"))
+    layers = reachable_layers(inst)
+    result = solve_instance(inst, layers)
+    assert (result.status, result.decided_by) == ("optimal", "mip")
+    assert result.objective == expected_utility(inst, layers, result.policy)
+    assert agree(result.objective, brute_force_optimal(inst, layers).objective)
+
+
 def test_no_incumbent_with_unsafe_default_raises(highs_stops_without_incumbent):
     # the default action is the risky one: 0.2 risk against a 0.1 budget
     inst = make_risky_safe_instance(delta=0.1)
@@ -362,7 +399,7 @@ def test_constant_only_path_model_is_checked_against_the_budget(budget, status):
 
 def _over_budget_case(go):
     """(loose model, HiGHS's answer on it, its solve, the same columns under
-    a budget the answer breaks).  The shared agent "s" earns 1 for "x",
+    a budget the answer breaks by 10 TOL).  The shared agent "s" earns 1 for "x",
     which reaches the risky state 1 of point 1 with the probabilities
     ``go``, and 0 for "y", which stays; a coin "x" leaves the path model and
     goes to the occupancy MIP."""
@@ -385,7 +422,7 @@ def _over_budget_case(go):
     model = build_model(loose, reachable_layers(loose))
     answer = ScipyHighsBackend().solve(model.matrix)
     result = solve(model)
-    tight = make(result.risks["j"] - 10 * RISK_VERIFY_SLACK)
+    tight = make(result.risks["j"] - 10 * TOL)
     tight_model = build_model(tight, reachable_layers(tight))
     assert tight_model.matrix.n_cols == model.matrix.n_cols
     return model, answer, result, tight_model
@@ -490,7 +527,7 @@ def test_backend_turns_feasibility_jump_off_without_warning(risky_safe, highs_ru
         )
         assert solver.getOptionValue("log_to_console")[1] is False
         assert solver.getOptionValue("presolve")[1] == "on"
-        assert solver.getOptionValue("mip_rel_gap")[1] == ilp.DEFAULT_MIP_REL_GAP
+        assert solver.getOptionValue("mip_rel_gap")[1] == TOL
     assert untimed.getOptionValue("time_limit")[1] == highs._Highs().getOptionValue("time_limit")[1]
     assert timed.getOptionValue("time_limit")[1] == 2.5
 

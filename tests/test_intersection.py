@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mccssp import intersection
-from mccssp.ilp import DEFAULT_MIP_REL_GAP, build_ilp, solve, solve_instance
+from mccssp.ilp import build_ilp, solve, solve_instance
 from mccssp.intersection import (
     Scenario,
     ScenarioConfig,
@@ -16,7 +16,7 @@ from mccssp.intersection import (
     green_side_at,
     simulate,
 )
-from mccssp.model import reachable_layers, validate_instance
+from mccssp.model import TOL, reachable_layers, validate_instance
 from mccssp.oracles import brute_force_optimal
 
 
@@ -386,7 +386,7 @@ def test_simulated_steps_solve_alike_by_paths_and_occupancy(
         assert by_paths.status == by_occupancy.status == "optimal"
         gap = abs(by_paths.objective - by_occupancy.objective)
         worst = max(worst, gap / max(1.0, abs(by_occupancy.objective)))
-    assert worst <= DEFAULT_MIP_REL_GAP
+    assert worst <= TOL
 
 
 class _KeptTable(dict):
@@ -522,7 +522,7 @@ def test_pruned_instances_plan_like_full_ones(small_scenario, monkeypatch, horiz
         f_result = solve_instance(f_inst, f_layers)
         assert p_result.status == f_result.status == "optimal"
         gap = abs(p_result.objective - f_result.objective)
-        assert gap <= DEFAULT_MIP_REL_GAP * max(1.0, abs(f_result.objective))
+        assert gap <= TOL * max(1.0, abs(f_result.objective))
         # the pruned plan, played at every point of the full instance,
         # risks exactly as much: each dropped point adds zero
         own = _own_actions(p_info, p_result.policy)

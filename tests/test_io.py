@@ -157,6 +157,29 @@ def test_version_mismatch_rejected(risky_safe):
         instance_from_json(text)
 
 
+def _with_field(instance, field, value):
+    data = json.loads(instance_to_json(instance))
+    if field == "horizon":
+        data["horizon"] = value
+    else:
+        data["interactions"][0]["id"] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("field, name", [("horizon", "horizon"), ("id", "interaction id")])
+@pytest.mark.parametrize("value", [3.9, 3.0, True, "3"])
+def test_non_integer_horizon_or_id_is_rejected_naming_the_field(risky_safe, field, name, value):
+    with pytest.raises(InstanceError, match=f"{name} must be an integer, got {value!r}"):
+        instance_from_json(_with_field(risky_safe, field, value))
+
+
+def test_solve_rejects_a_fractional_horizon(tmp_path, risky_safe, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(_with_field(risky_safe, "horizon", 3.9))
+    assert main(["solve", str(path)]) == 1
+    assert "horizon must be an integer, got 3.9" in capsys.readouterr().err
+
+
 def test_trajectory_csv_loader(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_text("t,x,y\n0.0,1.0,2.0\n0.5,1.5,2.5\n# comment\n1.0,2.0,3.0\n")
