@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ilp import BudgetExhausted, SolverFailure, SolveResult, build_ilp, solve
+from .ilp import SolverFailure, SolveResult, solve
 from .model import (
     AgentMdp,
     InteractionPoint,
@@ -194,10 +194,11 @@ def benchmark_rows(
     """Sweep agents x horizons; one dict per cell with build/solve timings.
 
     Starts are drawn once for the largest agent count so smaller sweeps
-    nest inside larger ones.  A cell whose start states alone exceed the
-    budget gets status budget_exhausted and no solve; a cell the solver
-    fails on (SolverFailure) gets status solver_failure, and the sweep
-    goes on.
+    nest inside larger ones.  Every cell goes through ``solve``, budget
+    exhausted ones too; ``build_s`` is the layering plus the result's
+    ``build_seconds``, ``solve_s`` its ``solve_seconds``.  A cell the solver
+    fails on (SolverFailure) gets status solver_failure, and the sweep goes
+    on.
     """
     rng = np.random.default_rng(base.seed)
     max_agents = max(agent_counts)
@@ -213,26 +214,18 @@ def benchmark_rows(
             instance = generate_grid_instance(spec)
             t0 = time.perf_counter()
             layers = reachable_layers(instance)
+            t1 = time.perf_counter()
             try:
-                model = build_ilp(instance, layers)
-            except BudgetExhausted:
-                model = None
-            build_s = time.perf_counter() - t0
-            if model is None:
-                result = SolveResult(status="budget_exhausted")
-            else:
-                t0 = time.perf_counter()
-                try:
-                    result = solve(model, time_limit=time_limit)
-                except SolverFailure:
-                    result = SolveResult(
-                        status="solver_failure", solve_seconds=time.perf_counter() - t0
-                    )
+                result = solve(layers, time_limit=time_limit)
+            except SolverFailure:
+                result = SolveResult(
+                    status="solver_failure", solve_seconds=time.perf_counter() - t1
+                )
             rows.append(
                 {
                     "n_agents": n_agents,
                     "horizon": horizon,
-                    "build_s": round(build_s, 6),
+                    "build_s": round(t1 - t0 + result.build_seconds, 6),
                     "solve_s": round(result.solve_seconds, 6),
                     "objective": result.objective,
                     "risk": result.risks.get("collision", float("nan")),

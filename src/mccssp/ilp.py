@@ -21,9 +21,10 @@ coefficients are the execution risks of the path combinations.
 
 Each model is assembled once, from (row, col, value) triplets into one
 CSR matrix with row bounds (``MatrixForm.from_triplets``); every column is
-bounded to [0, 1], and row and column names exist only in LP export.  One
-function, ``_highs_verdict``, runs HiGHS on either model and reads back,
-checks and packages its answer; only reading the solution differs.
+bounded to [0, 1], and row and column names exist only in LP export.
+``solve`` runs the one verdict ladder on the layers (budget check, DP
+certificate, then ``decide``: HiGHS on the one model ``build_model`` builds,
+its answer read back, checked and packaged alike for either model).
 """
 
 from __future__ import annotations
@@ -182,9 +183,7 @@ class IlpModel:
     (decision point, joint action) in ``decision_points()`` order, so width
     is points times joint actions."""
 
-    instance: MccSspInstance
     layers: LayeredSpace
-    criteria: tuple
     x_start: dict
     x_count: int
     z_count: int
@@ -203,7 +202,9 @@ class SolveResult:
     risks of ``policy`` (``risk.score_policy``), whatever decided it.
     ``flows`` holds the occupancy MIP's own flows, per flow index (None
     for utility, then each criterion) as {(i, k, state, action): value};
-    it is empty for every other verdict."""
+    it is empty for every other verdict.  ``build_seconds`` is the layering
+    (when ``solve_instance`` lays out) plus the model build (0 when none is
+    built), and ``solve_seconds`` the rest."""
 
     status: str
     objective: float = float("nan")
@@ -215,13 +216,13 @@ class SolveResult:
     decided_by: str | None = None
 
 
-def _reduced_budgets(instance: MccSspInstance, layers: LayeredSpace) -> dict:
+def _reduced_budgets(layers: LayeredSpace) -> dict:
     """Each risk budget minus the initial states' summed intrinsic risk;
     raises BudgetExhausted when that risk is not within a budget."""
-    budgets = instance.risk_budgets
+    budgets = layers.instance.risk_budgets
     initial = {
         j: sum(layers_i.state_risks(j)[layers_i.layers[0][0]] for layers_i in layers)
-        for j in instance.criteria
+        for j in layers.instance.criteria
     }
     over = {j: r for j, r in initial.items() if not within(r, budgets[j])}
     if over:
@@ -241,7 +242,7 @@ def _occupancy_layout(layers: LayeredSpace) -> tuple:
     first, slots = {}, {}
     for i in sorted(layers.per_interaction):
         layers_i = layers.per_interaction[i]
-        decision_layers = layers_i.layers[: layers.horizon]
+        decision_layers = layers_i.layers[: layers.instance.horizon]
         first[i] = list(accumulate(map(len, decision_layers), initial=0))
         for k, layer in enumerate(decision_layers):
             for n, s in enumerate(layer, start=first[i][k]):
@@ -270,12 +271,12 @@ def _occupancy_columns(instance: MccSspInstance, layers: LayeredSpace) -> int:
         for v in set(layers_i.members):
             holders[v] = holders.get(v, 0) + 1
     shared = sum(
-        len(own.actions) * sum(map(len, own.layers[: layers.horizon]))
+        len(own.actions) * sum(map(len, own.layers[: instance.horizon]))
         for v, own in layers.own.items()
         if holders.get(v, 0) > 1
     )
     return shared + sum(
-        n_blocks * sum(map(len, layers_i.layers[: layers.horizon])) * len(layers_i.joint_actions)
+        n_blocks * sum(map(len, layers_i.layers[: instance.horizon])) * len(layers_i.joint_actions)
         for layers_i in layers
     )
 
@@ -289,11 +290,11 @@ def build_ilp(instance: MccSspInstance, layers: LayeredSpace) -> IlpModel:
     criteria = instance.criteria
     flow_ids = (None,) + criteria  # None is the utility flow
     n_flows = len(flow_ids)
-    horizon = layers.horizon
+    horizon = instance.horizon
 
     # interaction -> criterion -> state -> aggregate risk
     rt = {layers_i.id: {j: layers_i.state_risks(j) for j in criteria} for layers_i in layers}
-    delta_tilde = _reduced_budgets(instance, layers)
+    delta_tilde = _reduced_budgets(layers)
 
     # columns: every interaction's x blocks, one per flow index, then every
     # interaction's z block, then the shared-agent selectors y, laid out by
@@ -416,7 +417,7 @@ def build_ilp(instance: MccSspInstance, layers: LayeredSpace) -> IlpModel:
         row_ix, col_ix, vals, lower, upper, objective,
         [0] * x_count + [1] * (n_cols - x_count), col_blocks, row_blocks,
     )
-    return IlpModel(instance, layers, criteria, x_start, x_count, z_count, matrix)
+    return IlpModel(layers, x_start, x_count, z_count, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +434,7 @@ class PathModel:
     every combination of their path indices: to the (utility, risks) of the
     interaction, and to its open-loop joint action per step."""
 
-    instance: MccSspInstance
     layers: LayeredSpace
-    criteria: tuple
     paths: dict
     b_start: dict
     points: list
@@ -521,7 +520,7 @@ def build_path_model(instance: MccSspInstance, layers: LayeredSpace) -> PathMode
     n_w = sum(math.prod(len(paths[v]) for v in group) for group in groups if len(group) > 1)
     if n_b + n_w > limit:
         return None
-    _reduced_budgets(instance, layers)
+    _reduced_budgets(layers)
 
     criteria = instance.criteria
     b_start = dict(zip(paths, accumulate(map(len, paths.values()), initial=0)))
@@ -543,7 +542,7 @@ def build_path_model(instance: MccSspInstance, layers: LayeredSpace) -> PathMode
     # each agent's open-loop action sequences: one per path of a decision
     # agent, its only action at every step for any other
     plans = {
-        v: [taken for _, taken in paths[v]] if v in paths else [own.actions * layers.horizon]
+        v: [taken for _, taken in paths[v]] if v in paths else [own.actions * instance.horizon]
         for v, own in layers.own.items()
     }
     model_points = []
@@ -594,7 +593,7 @@ def build_path_model(instance: MccSspInstance, layers: LayeredSpace) -> PathMode
         row_ix, col_ix, vals, lower, upper, objective,
         [1] * n_b + [0] * (len(objective) - n_b), col_blocks, row_blocks,
     )
-    return PathModel(instance, layers, criteria, paths, b_start, model_points, matrix)
+    return PathModel(layers, paths, b_start, model_points, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +610,7 @@ class ScipyHighsBackend:
     per call, so ties break as they do through ``milp``.  Feasibility jump
     costs about 8 ms on every model that reaches the branch-and-bound root,
     and on time-limited occupancy solves it found no incumbent that HiGHS
-    missed without it.  ``_highs_verdict`` is its one caller in the
-    library."""
+    missed without it.  ``decide`` is its one caller in the library."""
 
     def solve(self, matrix: MatrixForm, time_limit: float | None = None):
         """Returns (status, x, objective), status one of optimal, infeasible
@@ -707,44 +705,52 @@ def extract_policy(model: IlpModel, x: np.ndarray) -> Policy:
     return Policy(assignments)
 
 
-def solve(model: IlpModel | PathModel, time_limit: float | None = None) -> SolveResult:
-    """Decide a built model and read back the policy and post-hoc risk
-    evaluation.  For an occupancy model the backward-DP certificate
-    decides first where it applies; HiGHS decides everything else (see
-    ``_highs_verdict``)."""
+def solve(layers: LayeredSpace, time_limit: float | None = None) -> SolveResult:
+    """The verdict of a laid-out instance, from the first rung that settles
+    it: the budget check (``budget_exhausted`` when the initial states'
+    risk alone is not within a budget), then the backward-DP certificate,
+    and only then ``decide`` on the model ``build_model`` builds."""
     start = time.perf_counter()
-    result = None if isinstance(model, PathModel) else _dp_certificate(model)
+    try:
+        _reduced_budgets(layers)
+    except BudgetExhausted:
+        return SolveResult(status="budget_exhausted", solve_seconds=time.perf_counter() - start)
+    result = _dp_certificate(layers)
     if result is None:
-        result = _highs_verdict(model, time_limit)
-    result.solve_seconds = time.perf_counter() - start
+        t0 = time.perf_counter()
+        model = build_model(layers.instance, layers)
+        t1 = time.perf_counter()
+        result = decide(model, time_limit)
+        result.build_seconds = t1 - t0
+    result.solve_seconds = time.perf_counter() - start - result.build_seconds
     return result
 
 
-def _dp_certificate(model: IlpModel) -> SolveResult | None:
-    """Settle the model by one backward pass per interaction, or return None.
+def _dp_certificate(layers: LayeredSpace) -> SolveResult | None:
+    """Settle the layers by one backward pass per interaction, or return None.
 
-    Applies when no agent belongs to two interaction points: the model then
+    Applies when no agent belongs to two interaction points: the MIP then
     has no consistency rows, and its interactions are independent SSPs
     coupled only by the summed risk rows.  The utility-optimal least-risk
     policy is optimal when its utility agrees with the risk-blind bound and
     its risks are within every budget; the instance is infeasible when the
     summed least risks are not within a budget, a verdict checked as
-    HiGHS's is (see ``_checked_infeasible``).  Anything in between is left
+    HiGHS's is (see ``_policyless_verdict``).  Anything in between is left
     to the MIP.
     """
-    members = [v for point in model.instance.interactions for v in point.members]
+    members = [v for point in layers.instance.interactions for v in point.members]
     if len(set(members)) < len(members):
         return None
-    criteria = model.criteria
-    budgets = model.instance.risk_budgets
-    passes = {layers_i.id: backward_dp(layers_i, criteria) for layers_i in model.layers}
+    criteria = layers.instance.criteria
+    budgets = layers.instance.risk_budgets
+    passes = {layers_i.id: backward_dp(layers_i, criteria) for layers_i in layers}
     for n, j in enumerate(criteria):
         least = sum(dp.least_risk[n] for dp in passes.values())
         if not within(least, budgets[j]):
-            return _checked_infeasible(model, "dp", "the DP certificate")
+            return _policyless_verdict(layers, "infeasible", "dp", "the DP certificate")
 
     policy = Policy({i: dp.table for i, dp in passes.items()})
-    utility, risks = score_policy(model.layers, policy, criteria)
+    utility, risks = score_policy(layers, policy, criteria)
     if not agree(utility, sum(dp.value for dp in passes.values())):
         return None
     if not all(within(r, budgets[j]) for j, r in risks.items()):
@@ -754,22 +760,22 @@ def _dp_certificate(model: IlpModel) -> SolveResult | None:
     )
 
 
-def _highs_verdict(model: IlpModel | PathModel, time_limit) -> SolveResult:
-    """HiGHS's answer on a built model, read back and checked.  An optimal
-    policy, or a time-limited incumbent's, whose risk is not within a
-    budget is a SolverFailure, and so is an infeasible verdict on a model
+def decide(model: IlpModel | PathModel, time_limit: float | None = None) -> SolveResult:
+    """HiGHS's answer on one built model, read back and checked.  An
+    optimal policy, or a time-limited incumbent's, whose risk is not within
+    a budget is a SolverFailure, and so is an infeasible verdict on a model
     whose default-action policy fits every budget; a time-out without
     incumbent falls back to that policy.  The objective and risks are the
     returned policy's own, not HiGHS's objective.  Only reading the
-    solution depends on the formulation."""
+    solution depends on the formulation; timings are left to ``solve``."""
     paths = isinstance(model, PathModel)
     decided_by = "paths" if paths else "mip"
     status, x, _ = ScipyHighsBackend().solve(model.matrix, time_limit)
-    budgets = model.instance.risk_budgets
+    budgets = model.layers.instance.risk_budgets
     if status == "infeasible":
-        return _checked_infeasible(model, decided_by, "HiGHS")
+        return _policyless_verdict(model.layers, status, decided_by, "HiGHS")
     if x is None:
-        return _default_action_fallback(model)
+        return _policyless_verdict(model.layers, status, "fallback", "HiGHS")
     read = _read_paths if paths else _read_occupancy
     objective, policy, flows, risks = read(model, x)
     for j, value in risks.items():
@@ -787,16 +793,17 @@ def _read_occupancy(model: IlpModel, x: np.ndarray) -> tuple:
     """(objective, policy, flows, risks) of an occupancy solution: the
     max-flow policy, its ``score_policy`` utility and risks, and the
     nonzero flows."""
+    criteria = model.layers.instance.criteria
     policy = extract_policy(model, x)
     flows = {}
-    for fn, j in enumerate((None,) + model.criteria):
+    for fn, j in enumerate((None,) + criteria):
         per = {}
         for i, layers_i, k, s, row in _flow_rows(model, x, fn):
             for a, v in zip(layers_i.joint_actions, row):
                 if v != 0.0:
                     per[(i, k, s, a)] = v
         flows[j] = per
-    utility, risks = score_policy(model.layers, policy, model.criteria)
+    utility, risks = score_policy(model.layers, policy, criteria)
     return utility, policy, flows, risks
 
 
@@ -819,60 +826,53 @@ def _read_paths(model: PathModel, x: np.ndarray) -> tuple:
         scores.append(values[combo][1])
         plan = steps[combo]
         assignments[layers_i.id] = {(s, k): plan[k] for k, s in layers_i.decision_points()}
-    risks = {j: sum(risks[n] for risks in scores) for n, j in enumerate(model.criteria)}
+    criteria = model.layers.instance.criteria
+    risks = {j: sum(risks[n] for risks in scores) for n, j in enumerate(criteria)}
     return utility, Policy(assignments), {}, risks
 
 
-def _default_action_plan(model: IlpModel | PathModel) -> tuple:
-    """(policy, utility, risks, over) of the default-joint-action policy
-    (all-wait in the intersection, where it is feasible by construction):
-    its ``score_policy`` values, and the risks not within their budgets."""
+def _policyless_verdict(layers: LayeredSpace, status: str, decided_by: str, who: str):
+    """A verdict that came without a policy, infeasible or a time-out,
+    checked against the default-joint-action policy (all-wait in the
+    intersection, where it is feasible by construction) and its
+    ``score_policy`` values.  An infeasible verdict stands when that policy
+    breaks a budget; one that fits every budget is a feasible witness, and
+    ``who``'s verdict then a SolverFailure that names both sides.  A
+    time-out falls back to that policy when it fits every budget, and is a
+    SolverFailure otherwise."""
     policy = Policy(
         {
             layers_i.id: {
                 (s, k): layers_i.default_joint_action
                 for k, s in layers_i.decision_points()
             }
-            for layers_i in model.layers
+            for layers_i in layers
         }
     )
-    utility, risks = score_policy(model.layers, policy, model.criteria)
-    budgets = model.instance.risk_budgets
+    utility, risks = score_policy(layers, policy, layers.instance.criteria)
+    budgets = layers.instance.risk_budgets
     over = {j: r for j, r in risks.items() if not within(r, budgets[j])}
-    return policy, utility, risks, over
-
-
-def _checked_infeasible(model: IlpModel | PathModel, decided_by: str, who: str) -> SolveResult:
-    """An infeasible verdict, checked against the default-action plan: a
-    plan that fits every budget is a feasible witness, so ``who``'s verdict
-    is then a SolverFailure that names both sides."""
-    _, _, risks, over = _default_action_plan(model)
-    if not over:
-        raise SolverFailure(
-            f"{who} answered infeasible, but the default-action policy fits every "
-            f"budget: risks {risks} within budgets {model.instance.risk_budgets}"
-        )
-    return SolveResult(status="infeasible", decided_by=decided_by)
-
-
-def _default_action_fallback(model: IlpModel | PathModel) -> SolveResult:
-    """The default-action policy as a time_limit result when it fits every
-    budget; SolverFailure otherwise."""
-    policy, utility, risks, over = _default_action_plan(model)
+    if status == "infeasible":
+        if not over:
+            raise SolverFailure(
+                f"{who} answered infeasible, but the default-action policy fits every "
+                f"budget: risks {risks} within budgets {budgets}"
+            )
+        return SolveResult(status="infeasible", decided_by=decided_by)
     if over:
         raise SolverFailure(
-            "HiGHS reached its time limit without an incumbent, and the "
+            f"{who} reached its time limit without an incumbent, and the "
             f"default-action policy exceeds budgets: {over}"
         )
     return SolveResult(
-        status="time_limit", objective=utility, policy=policy, risks=risks, decided_by="fallback"
+        status=status, objective=utility, policy=policy, risks=risks, decided_by=decided_by
     )
 
 
 def build_model(instance: MccSspInstance, layers: LayeredSpace) -> IlpModel | PathModel:
-    """The model ``solve_instance`` decides: the path model where it
-    applies, the occupancy model otherwise.  Raises BudgetExhausted as
-    ``build_ilp`` does."""
+    """The model ``decide`` runs HiGHS on: the path model where it applies,
+    the occupancy model otherwise.  Raises BudgetExhausted as ``build_ilp``
+    does."""
     model = build_path_model(instance, layers)
     return build_ilp(instance, layers) if model is None else model
 
@@ -882,19 +882,12 @@ def solve_instance(
     layers: LayeredSpace | None = None,
     time_limit: float | None = None,
 ) -> SolveResult:
-    """Validate, layer, build (see ``build_model``), and solve; maps
-    BudgetExhausted to a status."""
-    build_start = time.perf_counter()
+    """Validate and lay out the instance when ``layers`` is None, then
+    ``solve`` it; the layering counts toward ``build_seconds``."""
+    start = time.perf_counter()
     if layers is None:
         layers = reachable_layers(instance)
-    try:
-        model = build_model(instance, layers)
-    except BudgetExhausted:
-        return SolveResult(
-            status="budget_exhausted",
-            build_seconds=time.perf_counter() - build_start,
-        )
-    build_elapsed = time.perf_counter() - build_start
-    result = solve(model, time_limit=time_limit)
-    result.build_seconds = build_elapsed
+    layered = time.perf_counter() - start
+    result = solve(layers, time_limit=time_limit)
+    result.build_seconds += layered
     return result

@@ -107,6 +107,14 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _number(value, field: str) -> float:
+    """A JSON number field (an integer or a float) as a float; anything
+    else, a boolean or a numeric string too, is an InstanceError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def instance_from_json(text: str) -> MccSspInstance:
     data = json.loads(text)
     version = data.get("format_version")
@@ -118,10 +126,11 @@ def instance_from_json(text: str) -> MccSspInstance:
         transition = {}
         for s, a, row in spec["transition"]:
             transition[(_freeze(s), _freeze(a))] = {
-                _freeze(t): float(p) for t, p in row
+                _freeze(t): _number(p, f"agent {vid!r} transition probability") for t, p in row
             }
         utility = {
-            (_freeze(s), _freeze(a)): float(u) for s, a, u in spec["utility"]
+            (_freeze(s), _freeze(a)): _number(u, f"agent {vid!r} utility")
+            for s, a, u in spec["utility"]
         }
         agents[vid] = AgentMdp(
             states={_freeze(s) for s in spec["states"]},
@@ -136,12 +145,16 @@ def instance_from_json(text: str) -> MccSspInstance:
     for pt in data["interactions"]:
         point_id = _integer(pt["id"], "interaction id")
         members = tuple(_freeze(v) for v in pt["members"])
+        owners = pt["utility_owners"]
+        if not all(isinstance(b, bool) for b in owners):
+            raise InstanceError(f"interaction {point_id}: utility_owners must be booleans")
         risk = {}
         for j, body in pt["risk"].items():
+            field = f"interaction {point_id} risk {j!r} probability"
             if "aggregate" in body:
                 risk[j] = StateRisk.from_aggregate(
                     {
-                        tuple(_freeze(part) for part in joint): float(p)
+                        tuple(_freeze(part) for part in joint): _number(p, field)
                         for joint, p in body["aggregate"]
                     }
                 )
@@ -149,7 +162,7 @@ def instance_from_json(text: str) -> MccSspInstance:
                 tables = {}
                 for v, w, rows in body["pairwise"]:
                     tables[(_freeze(v), _freeze(w))] = {
-                        (_freeze(sv), _freeze(sw)): float(p) for sv, sw, p in rows
+                        (_freeze(sv), _freeze(sw)): _number(p, field) for sv, sw, p in rows
                     }
                 unknown = [v for v in members if v not in agents]
                 if unknown:
@@ -161,7 +174,7 @@ def instance_from_json(text: str) -> MccSspInstance:
             InteractionPoint(
                 id=point_id,
                 members=members,
-                utility_owners=tuple(bool(b) for b in pt["utility_owners"]),
+                utility_owners=tuple(owners),
                 risk=risk,
             )
         )
@@ -170,7 +183,7 @@ def instance_from_json(text: str) -> MccSspInstance:
         agents=agents,
         interactions=tuple(interactions),
         horizon=_integer(data["horizon"], "horizon"),
-        risk_budgets={j: float(d) for j, d in data["risk_budgets"].items()},
+        risk_budgets={j: _number(d, f"risk budget {j!r}") for j, d in data["risk_budgets"].items()},
     )
 
 

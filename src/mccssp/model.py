@@ -417,10 +417,10 @@ class InteractionLayers:
 
 @dataclass(frozen=True)
 class LayeredSpace:
-    """Per-interaction reachable layers for a full instance, and each
-    agent's own rows (``own[agent]``) that they are products of."""
+    """Per-interaction reachable layers of ``instance``, and each agent's
+    own rows (``own[agent]``) that they are products of."""
 
-    horizon: int
+    instance: MccSspInstance
     per_interaction: Mapping[int, InteractionLayers]
     own: Mapping[AgentId, OwnRows]
 
@@ -509,4 +509,4 @@ def reachable_layers(instance: MccSspInstance) -> LayeredSpace:
         point.id: _layer_point(point, instance.agents, own, instance.horizon)
         for point in instance.interactions
     }
-    return LayeredSpace(horizon=instance.horizon, per_interaction=per_interaction, own=own)
+    return LayeredSpace(instance=instance, per_interaction=per_interaction, own=own)

@@ -213,7 +213,7 @@ def linear_risk_from_flows(
     for layers_i in layers:
         rt = layers_i.state_risks(criterion)
         total += rt[layers_i.layers[0][0]]
-        for k in range(layers.horizon):
+        for k in range(layers.instance.horizon):
             for s in layers_i.layers[k]:
                 survival = 1.0 - rt[s]
                 for a in layers_i.joint_actions:

@@ -77,3 +77,19 @@ def test_traced_intersection_step_reports_layers_and_highs_calls(small_scenario)
     assert result.decided_by == "paths"
     assert metrics["model.layer_states"][0] > 0
     assert metrics["ilp.highs_calls"][0] >= 1
+
+
+def test_grid_scale_round_samples_its_latency_from_grid_solve():
+    """GridScale's hooks wrap ``grid.solve`` and take a round's one latency
+    sample there, so a sweep that stops calling it would fail every
+    grid-scale run; one round must give one sample and pass its checks."""
+    workload = workloads.WORKLOADS["grid-scale"]()
+    patches = tracing.Patches()
+    run = workloads.Run(1, patches, scaled=False)
+    try:
+        workload.install(run)
+        workload.round(run)
+    finally:
+        patches.undo()
+    assert len(run.op_ms) == 1
+    assert (run.failed, run.problems) == (0, [])

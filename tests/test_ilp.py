@@ -19,7 +19,7 @@ from mccssp.ilp import (
     build_ilp,
     build_model,
     build_path_model,
-    solve,
+    decide,
     solve_instance,
 )
 from mccssp.io import load_instance
@@ -171,6 +171,28 @@ def test_certificate_decides_riskless_grid_cell():
     result, layers = _certified(inst)
     assert result.decided_by == "dp"
     assert abs(result.objective - dp_optimal_utility(inst, layers)) < 1e-9
+
+
+def test_dp_and_budget_verdicts_build_no_model(monkeypatch):
+    # the grid-scale latency cell: seed 13, 2 agents at h=5, with the
+    # starts grid.benchmark_rows draws
+    base = GridSpec(width=10_000, height=10_000, seed=13, risk_budget=0.2)
+    rng = np.random.default_rng(base.seed)
+    starts = [(int(rng.integers(base.width)), int(rng.integers(base.height))) for _ in range(2)]
+    cell = generate_grid_instance(
+        GridSpec(**{**base.__dict__, "n_agents": 2, "horizon": 5, "start_positions": starts})
+    )
+
+    def built(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    for name in ("build_model", "build_ilp", "build_path_model"):
+        monkeypatch.setattr(ilp, name, built)
+    result = solve_instance(cell)
+    assert (result.status, result.decided_by) == ("optimal", "dp")
+    assert result.solve_seconds > 0.0
+    result = solve_instance(_exhausted_shared_agent_instance())
+    assert (result.status, result.decided_by) == ("budget_exhausted", None)
 
 
 # 30% risky cells of risk 0.3 under a 0.1 budget: the risk-blind optimum
@@ -356,20 +378,24 @@ def test_path_model_of_the_shared_agent_instance():
     model = build_path_model(inst, reachable_layers(inst))
     assert model.paths == {"s": [((0, 1), ("x",))]}
     assert (model.matrix.n_cols, int(model.matrix.integrality.sum())) == (1, 1)
-    result = solve(model)
+    result = decide(model)
     assert (result.status, result.decided_by, result.objective) == ("optimal", "paths", 1.0)
     assert result.policy.assignments == {0: {((0, 0), 0): ("x", "w")}, 1: {((0,), 0): ("x",)}}
 
 
-def test_path_model_keeps_the_budget_exhausted_check():
-    # a risky initial state at the shared agent's pair point
+def _exhausted_shared_agent_instance():
+    """A risky initial state at the shared agent's pair point, over budget."""
     inst = _shared_agent_instance()
     point = dataclasses.replace(
         inst.interactions[0], risk={"j": StateRisk.from_aggregate({(0, 0): 0.5})}
     )
-    inst = dataclasses.replace(
+    return dataclasses.replace(
         inst, interactions=(point, inst.interactions[1]), risk_budgets={"j": 0.4}
     )
+
+
+def test_path_model_keeps_the_budget_exhausted_check():
+    inst = _exhausted_shared_agent_instance()
     with pytest.raises(BudgetExhausted):
         build_path_model(inst, reachable_layers(inst))
     assert solve_instance(inst).status == "budget_exhausted"
@@ -421,7 +447,7 @@ def _over_budget_case(go):
     loose = make(1.0)
     model = build_model(loose, reachable_layers(loose))
     answer = ScipyHighsBackend().solve(model.matrix)
-    result = solve(model)
+    result = decide(model)
     tight = make(result.risks["j"] - 10 * TOL)
     tight_model = build_model(tight, reachable_layers(tight))
     assert tight_model.matrix.n_cols == model.matrix.n_cols
@@ -439,7 +465,7 @@ def test_optimal_answer_over_budget_is_a_solver_failure(go, decided_by, monkeypa
     assert (result.status, result.decided_by) == ("optimal", decided_by)
     monkeypatch.setattr(ScipyHighsBackend, "solve", lambda self, matrix, time_limit=None: answer)
     with pytest.raises(SolverFailure, match="violates budget 'j'"):
-        solve(tight_model)
+        decide(tight_model)
 
 
 @_GO
@@ -450,7 +476,7 @@ def test_time_limited_incumbent_over_budget_is_a_solver_failure(go, decided_by, 
         lambda self, matrix, time_limit=None: ("time_limit", x, objective),
     )
     with pytest.raises(SolverFailure, match="extracted time_limit policy violates budget 'j'"):
-        solve(tight_model)
+        decide(tight_model)
 
 
 @_GO
@@ -466,7 +492,7 @@ def test_infeasible_answer_beside_a_fitting_default_plan_is_a_solver_failure(
         lambda self, matrix, time_limit=None: ("infeasible", None, float("nan")),
     )
     with pytest.raises(SolverFailure, match="answered infeasible, but the default-action"):
-        solve(model)
+        decide(model)
 
 
 @_GO
@@ -476,7 +502,7 @@ def test_infeasible_answer_beside_an_unfit_default_plan_stands(go, decided_by, m
         ScipyHighsBackend, "solve",
         lambda self, matrix, time_limit=None: ("infeasible", None, float("nan")),
     )
-    result = solve(tight_model)
+    result = decide(tight_model)
     assert (result.status, result.decided_by) == ("infeasible", decided_by)
 
 

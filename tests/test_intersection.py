@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mccssp import intersection
-from mccssp.ilp import build_ilp, solve, solve_instance
+from mccssp.ilp import build_ilp, decide, solve_instance
 from mccssp.intersection import (
     Scenario,
     ScenarioConfig,
@@ -381,7 +381,7 @@ def test_simulated_steps_solve_alike_by_paths_and_occupancy(
     for instance in instances:
         layers = reachable_layers(instance)
         by_paths = solve_instance(instance, layers)
-        by_occupancy = solve(build_ilp(instance, layers))
+        by_occupancy = decide(build_ilp(instance, layers))
         assert by_paths.decided_by == "paths"
         assert by_paths.status == by_occupancy.status == "optimal"
         gap = abs(by_paths.objective - by_occupancy.objective)

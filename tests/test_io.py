@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,67 @@ def _with_field(instance, field, value):
 def test_non_integer_horizon_or_id_is_rejected_naming_the_field(risky_safe, field, name, value):
     with pytest.raises(InstanceError, match=f"{name} must be an integer, got {value!r}"):
         instance_from_json(_with_field(risky_safe, field, value))
+
+
+def _with_number(instance, field, value):
+    """The instance's JSON with the first entry of one numeric field set to
+    ``value``; returns the text and the field's name in error messages."""
+    data = json.loads(instance_to_json(instance))
+    (vid, agent), = data["agents"].items()
+    (j, _), = data["risk_budgets"].items()
+    point = data["interactions"][0]
+    if field == "budget":
+        data["risk_budgets"][j] = value
+        name = f"risk budget {j!r}"
+    elif field == "transition":
+        agent["transition"][0][2][0][1] = value
+        name = f"agent {vid!r} transition probability"
+    elif field == "utility":
+        agent["utility"][0][2] = value
+        name = f"agent {vid!r} utility"
+    else:
+        point["risk"][j]["aggregate"][0][1] = value
+        name = f"interaction {point['id']} risk {j!r} probability"
+    return json.dumps(data), name
+
+
+@pytest.mark.parametrize("field", ["budget", "transition", "utility", "risk"])
+@pytest.mark.parametrize("value", [True, False, "0.1", None, [0.1]])
+def test_non_number_budget_probability_or_utility_is_rejected_naming_the_field(
+    risky_safe, field, value
+):
+    text, name = _with_number(risky_safe, field, value)
+    with pytest.raises(InstanceError, match=re.escape(f"{name} must be a number, got {value!r}")):
+        instance_from_json(text)
+
+
+@pytest.mark.parametrize("field", ["budget", "transition", "utility", "risk"])
+def test_integer_budget_probability_or_utility_loads_as_a_float(risky_safe, field):
+    text, _ = _with_number(risky_safe, field, 1)
+    loaded = instance_from_json(text)
+    (agent,) = loaded.agents.values()
+    (budget,) = loaded.risk_budgets.values()
+    (risk,) = loaded.interactions[0].risk.values()
+    values = {
+        "budget": budget,
+        "transition": next(iter(next(iter(agent.transition.values())).values())),
+        "utility": next(iter(agent.utility.values())),
+        "risk": next(iter(risk.table.values())),
+    }
+    assert type(values[field]) is float and values[field] == 1.0
+
+
+def test_non_number_pairwise_probability_is_rejected():
+    with pytest.raises(InstanceError, match="interaction 0 risk 'col' probability must be a number"):
+        instance_from_json(_three_member_pairwise_json(p_ab="0.3"))
+
+
+@pytest.mark.parametrize("flag", ["no", 1, 0, None])
+def test_non_boolean_owner_flag_is_rejected(risky_safe, flag):
+    data = json.loads(instance_to_json(risky_safe))
+    data["interactions"][0]["utility_owners"][0] = flag
+    with pytest.raises(InstanceError, match=r"interaction \d+: utility_owners must be booleans"):
+        instance_from_json(json.dumps(data))
 
 
 def test_solve_rejects_a_fractional_horizon(tmp_path, risky_safe, capsys):

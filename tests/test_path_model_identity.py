@@ -60,7 +60,7 @@ def _assert_combinations_match(instance):
             chosen = {v: model.paths[v][p] for v, p in zip(group, combo)}
             explicit = _explicit_steps(instance, layers_i, chosen)
             assert list(steps[combo]) == explicit
-            expected = evaluate_table(layers_i, _Table(explicit), model.criteria)
+            expected = evaluate_table(layers_i, _Table(explicit), instance.criteria)
             assert _hexed(value) == _hexed(expected)
             checked += 1
     return checked
