@@ -16,6 +16,7 @@ the rest ``UTILITY_HIGH``.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -96,21 +97,18 @@ class GridSpec:
     start_positions: list | None = field(default=None)
 
     def validate(self) -> None:
-        for name in ("width", "height"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be at least 0, got {self.seed!r}")
+        """Raise ValueError naming the first field a grid cannot use."""
+        for name, low in (("width", 1), ("height", 1), ("n_agents", 1), ("horizon", 1),
+                          ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("risky_fraction", "risky_risk_value", "risk_budget"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         if self.width * self.height < self.n_agents:
             raise ValueError("grid too small for the number of agents")
-
-
-def _clip(spec: GridSpec, x: int, y: int) -> tuple:
-    return (min(max(x, 0), spec.width - 1), min(max(y, 0), spec.height - 1))
 
 
 def cell_is_risky(spec: GridSpec, cell: tuple) -> bool:
@@ -122,13 +120,17 @@ def cell_utility(spec: GridSpec, cell: tuple) -> float:
 
 
 def _transition(spec: GridSpec):
+    # a move off the grid stays, so the own cell gets both shares
+    width, height = spec.width, spec.height
+    stay = 1.0 - SUCCESS_PROB
+
     def rows(state, action):
         x, y = state
         dx, dy = MOVES[action]
-        target = _clip(spec, x + dx, y + dy)
-        out = {target: SUCCESS_PROB}
-        out[state] = out.get(state, 0.0) + (1.0 - SUCCESS_PROB)
-        return out
+        x, y = x + dx, y + dy
+        if 0 <= x < width and 0 <= y < height:
+            return {(x, y): SUCCESS_PROB, state: stay}
+        return {state: SUCCESS_PROB + stay}
 
     return rows
 
@@ -150,13 +152,17 @@ def generate_grid_instance(spec: GridSpec) -> MccSspInstance:
 
     cells = GridCells(spec.width, spec.height)
     transition = _transition(spec)
+    # each cell's utility and risk are hashed once per instance, on first read
+    cell_value = functools.cache(lambda cell: cell_utility(spec, cell))
+    cell_risk = functools.cache(
+        lambda cell: spec.risky_risk_value if cell_is_risky(spec, cell) else 0.0
+    )
 
     def utility(state, action):
-        return cell_utility(spec, state)
+        return cell_value(state)
 
     def state_risk(joint_state):
-        cell = joint_state[0]
-        return spec.risky_risk_value if cell_is_risky(spec, cell) else 0.0
+        return cell_risk(joint_state[0])
 
     agents = {}
     points = []

@@ -30,7 +30,9 @@ no utility and would only add consistency rows that every plan
 satisfies, so dropping it changes no optimum.
 
 Vehicle model: a vehicle waits, or enters a variant and runs its tube one
-planning interval per state until it is past the tube.  A built instance
+planning interval per state until it is past the tube.  A vehicle's rows
+cover only the own states it reaches before the horizon, where a decision
+is taken; a state first reached at the horizon has none.  A built instance
 is plain data, with no reference to the scenario or the vehicles: it can
 be saved with ``io.save_instance`` and solved again from the file.
 """
@@ -429,11 +431,12 @@ def build_intersection_instance(
                 f"go_{sp}": scenario.variant_key(v.lane, v.slot, lane.kind, sp)
                 for sp in speed_names
             }
+            # a go at step m < horizon enters its run at step m + 1
             first = {
-                a: _run_chain(transition, utility, actions, scenario, var, steps)
+                a: _run_chain(transition, utility, actions, scenario, var, steps, horizon - 1)
                 for a, var in go.items()
             }
-            for m in range(horizon + 1):
+            for m in range(horizon):
                 transition[(("wait", m), "wait")] = {("wait", m + 1): 1.0}
                 utility[(("wait", m), "wait")] = 0.0
                 for a, var in go.items():
@@ -448,32 +451,34 @@ def build_intersection_instance(
                     )
         elif v.kind == "av":  # committed AV, obstacle
             actions = ("continue",)
-            initial = _run_chain(transition, utility, actions, scenario, v.variant, v.progression)
+            initial = _run_chain(
+                transition, utility, actions, scenario, v.variant, v.progression, horizon
+            )
         else:  # hv
             actions = ("hv",)
             weights = _hv_candidate_weights(scenario, v)
             if v.phase == "queued" and green_side != lane.side:
                 initial = ("wait", 0)
-                for m in range(horizon + 1):
+                for m in range(horizon):
                     transition[(("wait", m), "hv")] = {("wait", m + 1): 1.0}
                     utility[(("wait", m), "hv")] = 0.0
             elif len(weights) == 1 and v.phase == "running":
                 (var,) = weights
-                initial = _run_chain(transition, utility, actions, scenario, var, v.progression)
+                initial = _run_chain(
+                    transition, utility, actions, scenario, var, v.progression, horizon
+                )
             else:
                 # entering or still ambiguous: branch per the intent schedule
                 initial = ("hv", v.progression)
                 branch = {}
                 for var, q in weights.items():
                     nxt = _run_chain(
-                        transition, utility, actions, scenario, var, v.progression + steps
+                        transition, utility, actions, scenario, var, v.progression + steps,
+                        horizon - 1,
                     )
                     branch[nxt] = branch.get(nxt, 0.0) + q
                 transition[(initial, "hv")] = branch
                 utility[(initial, "hv")] = 0.0
-        for a in actions:
-            transition[(("done",), a)] = {("done",): 1.0}
-            utility[(("done",), a)] = 0.0
 
         states = set()
         successors = {}
@@ -547,20 +552,27 @@ def build_intersection_instance(
     return instance, BuildInfo(singleton_ids, pair_ids, [u.id for u in order])
 
 
-def _run_chain(transition, utility, actions, scenario, variant, progression):
+def _run_chain(transition, utility, actions, scenario, variant, progression, rows):
     """Write the deterministic run of ``variant`` from ``progression`` on,
     one planning interval per state and the same successor under every
-    action, and return its first state: ("done",) past the tube."""
+    action, and return its first state: ("done",) past the tube, which is
+    absorbing.  Only the first ``rows`` states of the run get a row: the
+    caller passes how many it reaches before the horizon, so the run ends
+    on a state without one."""
     steps = scenario.steps_per_plan
     tube_len = len(scenario.tube(variant))
-    p = progression
-    while p < tube_len:
-        nxt = ("run", variant, p + steps) if p + steps < tube_len else ("done",)
+
+    def at(p):
+        return ("run", variant, p) if p < tube_len else ("done",)
+
+    for k in range(rows):
+        state, nxt = at(progression + k * steps), at(progression + (k + 1) * steps)
         for a in actions:
-            transition[(("run", variant, p), a)] = {nxt: 1.0}
-            utility[(("run", variant, p), a)] = 0.0
-        p += steps
-    return ("run", variant, progression) if progression < tube_len else ("done",)
+            transition[(state, a)] = {nxt: 1.0}
+            utility[(state, a)] = 0.0
+        if nxt == state:
+            break
+    return at(progression)
 
 
 def _table_axis(scenario: Scenario, variant: tuple, progression: int) -> int | None:

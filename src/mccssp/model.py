@@ -92,11 +92,11 @@ class AgentMdp:
         """Successor distribution, renormalized when it sums to 1 within TOL."""
         row = dict(self._t(state, action))
         total = sum(row.values())
-        if not agree(total, 1.0):
-            raise InstanceError(
-                f"transition row for ({state!r}, {action!r}) sums to {total!r}"
-            )
         if total != 1.0:
+            if not agree(total, 1.0):
+                raise InstanceError(
+                    f"transition row for ({state!r}, {action!r}) sums to {total!r}"
+                )
             row = {s: p / total for s, p in row.items()}
         return row
 
@@ -347,21 +347,25 @@ def own_rows(agent: AgentMdp, horizon: int) -> OwnRows:
     non-zero probability counts as reached, so a joint product of members'
     rows only reaches states that have rows and keys here."""
     actions = agent.sorted_actions()
+    successors, reward = agent.successors, agent.reward
     rows = {}
+    reaches = {}  # state -> its successors of non-zero probability, in row order
+    keys = {agent.initial_state: skey(agent.initial_state)}
     layers = [(agent.initial_state,)]
     for _ in range(horizon):
         reached = {}
         for s in layers[-1]:
-            if s not in rows:
-                rows[s] = tuple(
-                    (tuple(agent.successors(s, a).items()), agent.reward(s, a)) for a in actions
+            nxt = reaches.get(s)
+            if nxt is None:
+                row = rows[s] = tuple(
+                    [(tuple(successors(s, a).items()), reward(s, a)) for a in actions]
                 )
-            for items, _ in rows[s]:
-                for t, p in items:
-                    if p != 0.0:
-                        reached[t] = None
+                nxt = reaches[s] = {t: None for items, _ in row for t, p in items if p != 0.0}
+                for t in nxt:
+                    if t not in keys:
+                        keys[t] = skey(t)
+            reached.update(nxt)
         layers.append(tuple(reached))
-    keys = {s: skey(s) for layer in layers for s in layer}
     return OwnRows(actions, tuple(layers), rows, keys)
 
 
@@ -399,13 +403,12 @@ class InteractionLayers:
 
     def state_risks(self, criterion: Criterion) -> dict:
         """Aggregate failure probability of every reachable state for one
-        criterion, computed on first use."""
+        criterion, computed on first use, once per state."""
         rt = self._state_risks.get(criterion)
         if rt is None:
             rt = {
                 s: self.point.state_risk(criterion, s)
-                for layer in self.layers
-                for s in layer
+                for s in dict.fromkeys(itertools.chain.from_iterable(self.layers))
             }
             self._state_risks[criterion] = rt
         return rt
@@ -442,25 +445,33 @@ def _layer_point(
     each joint state once.  The rows and utilities of all joint actions at
     a state are formed member by member from the members' own rows, in the
     order of ``joint_actions``: probabilities multiply left to right from
-    1.0, and a successor is kept when its product is positive; the owned
-    members' rewards add left to right from 0.0.  Joint sort keys are
-    joined from the members' own keys."""
+    the first member's, and a successor is kept when its product is
+    positive; the owned members' rewards add left to right from 0.0.  A
+    singleton point's rows are thus its member's rows under joint keys.
+    Joint sort keys are joined from the members' own keys."""
     members = [own[v] for v in point.members]
     owners = point.utility_owners
     member_keys = [m.keys for m in members]
     joint_actions = tuple(itertools.product(*[m.actions for m in members]))
     keys, edges, utilities = {}, {}, {}
-    successors = {}  # joint state -> its edges' successors, in edge order
+    successors = {}  # joint state -> its edges' successors, each once
+
+    def by_key(item):
+        return keys[item[0]]
+
     layers = [(tuple([agents[v].initial_state for v in point.members]),)]
     for _ in range(horizon):
         nxt = set()
         for s in layers[-1]:
             reached = successors.get(s)
             if reached is None:
-                reached = successors[s] = []
+                reached = successors[s] = {}
                 # (row, utility) per joint action over the members so far
-                joint = [([((), 1.0)], 0.0)]
-                for m, owns, sv in zip(members, owners, s):
+                joint = [
+                    ([((t,), q) for t, q in items], 0.0 + reward if owners[0] else 0.0)
+                    for items, reward in members[0].rows[s[0]]
+                ]
+                for m, owns, sv in zip(members[1:], owners[1:], s[1:]):
                     joint = [
                         (
                             [(succ + (t,), p * q) for succ, p in row for t, q in items],
@@ -472,11 +483,12 @@ def _layer_point(
                 for a, (row, utility) in zip(joint_actions, joint):
                     kept = [(succ, p) for succ, p in row if p > 0.0]
                     for succ, _ in kept:
-                        if succ not in keys:
-                            keys[succ] = _joint_key(member_keys, succ)
+                        if succ not in reached:
+                            reached[succ] = None
+                            if succ not in keys:
+                                keys[succ] = _joint_key(member_keys, succ)
                     if len(kept) > 1:
-                        kept.sort(key=lambda kv: keys[kv[0]])
-                    reached += [succ for succ, _ in kept]
+                        kept.sort(key=by_key)
                     edges[(s, a)] = tuple(kept)
                     utilities[(s, a)] = utility
             nxt.update(reached)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mccssp import grid
 from mccssp.grid import (
     GridCells,
     GridSpec,
@@ -129,6 +130,29 @@ def test_width_height_capacity_validation():
         GridSpec(risk_budget=1.2).validate()
     with pytest.raises(ValueError, match="risky_risk_value"):
         GridSpec(risky_risk_value=1.5).validate()
+    with pytest.raises(ValueError, match="n_agents must be an integer >= 1, got -1"):
+        GridSpec(n_agents=-1).validate()
+    with pytest.raises(ValueError, match="horizon must be an integer >= 1, got 2.5"):
+        GridSpec(horizon=2.5).validate()
+
+
+def test_layout_hashes_each_cell_utility_once(monkeypatch):
+    # the seed-13 two-agent horizon-5 cell, with grid.benchmark_rows's starts
+    base = GridSpec(width=10_000, height=10_000, seed=13, risk_budget=0.2)
+    rng = np.random.default_rng(base.seed)
+    starts = [(int(rng.integers(base.width)), int(rng.integers(base.height))) for _ in range(2)]
+    spec = GridSpec(**{**base.__dict__, "n_agents": 2, "horizon": 5, "start_positions": starts})
+    hashed = []
+    monkeypatch.setattr(
+        grid, "cell_utility", lambda at, cell: hashed.append(cell) or cell_utility(at, cell)
+    )
+    layers = reachable_layers(generate_grid_instance(spec))
+    laid_out = {
+        cell for own in layers.own.values() for layer in own.layers[: spec.horizon]
+        for cell in layer
+    }
+    assert len(hashed) == len(laid_out) == 82
+    assert set(hashed) == laid_out
 
 
 def test_benchmark_rows_records_solver_failure_and_goes_on(highs_stops_without_incumbent):

@@ -584,3 +584,36 @@ def test_built_steps_roundtrip_json_and_plan_alike(small_scenario, monkeypatch, 
     for instance, info in built:
         loaded = instance_from_json(instance_to_json(instance))
         assert plan(loaded, info) == plan(instance, info)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+def test_built_steps_write_rows_only_where_a_decision_is_taken(
+    small_scenario, monkeypatch, horizon
+):
+    # every transition and utility row of a built step belongs to an own
+    # state the vehicle reaches before the horizon, and each such state
+    # has one for every action
+    from mccssp.model import own_rows
+
+    built = []
+    build = intersection.build_intersection_instance
+
+    def recording_build(*args, **kwargs):
+        instance, info = build(*args, **kwargs)
+        built.append(instance)
+        return instance, info
+
+    monkeypatch.setattr(intersection, "build_intersection_instance", recording_build)
+    # the shared scenario fixture gets its HV share back after the test
+    monkeypatch.setattr(small_scenario.config, "hv_fraction", small_scenario.config.hv_fraction)
+    for hv in (0.0, 0.3):
+        small_scenario.config.hv_fraction = hv
+        simulate(small_scenario, "fcfs", 12, seed=4, horizon=horizon, delta=0.05)
+    assert len(built) >= 20
+    for instance in built:
+        assert validate_instance(instance) == []
+        for agent in instance.agents.values():
+            own = own_rows(agent, horizon)
+            decided = {(s, a) for layer in own.layers[:horizon] for s in layer for a in own.actions}
+            assert set(agent.transition) == decided
+            assert set(agent.utility) == decided

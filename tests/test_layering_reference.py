@@ -148,7 +148,7 @@ def test_same_layout_where_sort_key_row_order_and_numeric_order_differ(horizon):
     _assert_same_layout(instance)
 
 
-@pytest.mark.parametrize("horizon", [1, 2])
+@pytest.mark.parametrize("horizon", [1, 2, 3])
 def test_same_layout_on_simulated_steps(small_scenario, monkeypatch, horizon):
     instances = []
 
