@@ -80,7 +80,7 @@ def _require_at_least(low: int, args, *names) -> None:
 
 
 def cmd_solve(args) -> int:
-    from .ilp import SolverFailure, solve_instance
+    from .ilp import SolverFailure, solve
     from .io import load_instance
     from .model import reachable_layers, validate_instance
 
@@ -98,7 +98,7 @@ def cmd_solve(args) -> int:
         from .ilp import BudgetExhausted, build_model
 
         try:
-            model = build_model(instance, layers)
+            model = build_model(layers)
         except BudgetExhausted as exc:
             print(f"cannot export: {exc}", file=sys.stderr)
             return 1
@@ -106,7 +106,7 @@ def cmd_solve(args) -> int:
             handle.write(model.matrix.to_lp_text())
         print(f"wrote {args.export_lp}")
     try:
-        result = solve_instance(instance, layers, time_limit=args.time_limit)
+        result = solve(layers, time_limit=args.time_limit)
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
@@ -126,7 +126,7 @@ def cmd_solve(args) -> int:
         from .oracles import CapExceeded, brute_force_optimal
 
         try:
-            oracle = brute_force_optimal(instance, layers)
+            oracle = brute_force_optimal(layers)
         except CapExceeded as exc:
             print(f"oracle skipped: {exc}")
             return 0

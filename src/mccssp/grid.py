@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -97,18 +98,32 @@ class GridSpec:
     start_positions: list | None = field(default=None)
 
     def validate(self) -> None:
-        """Raise ValueError naming the first field a grid cannot use."""
+        """Raise ValueError naming the first field a grid cannot use: the
+        sizes and the seed are integers, the three probabilities numbers in
+        [0, 1], and each of the ``n_agents`` starts a pair of integers
+        inside the grid."""
         for name, low in (("width", 1), ("height", 1), ("n_agents", 1), ("horizon", 1),
                           ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            if not _integer(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("risky_fraction", "risky_risk_value", "risk_budget"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
         if self.width * self.height < self.n_agents:
             raise ValueError("grid too small for the number of agents")
+        starts = self.start_positions
+        if starts is not None and len(starts) != self.n_agents:
+            raise ValueError(f"start_positions has {len(starts)} cells, n_agents {self.n_agents}")
+        for start in starts or ():
+            if not (isinstance(start, (tuple, list)) and len(start) == 2
+                    and all(map(_integer, start)) and start in GridCells(self.width, self.height)):
+                raise ValueError(f"start_positions: {start!r} is not an integer cell in the grid")
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def cell_is_risky(spec: GridSpec, cell: tuple) -> bool:
@@ -142,8 +157,6 @@ def generate_grid_instance(spec: GridSpec) -> MccSspInstance:
     rng = np.random.default_rng(spec.seed)
     if spec.start_positions is not None:
         starts = [tuple(p) for p in spec.start_positions]
-        if len(starts) != spec.n_agents:
-            raise ValueError("start_positions must match n_agents")
     else:
         starts = [
             (int(rng.integers(spec.width)), int(rng.integers(spec.height)))

@@ -203,7 +203,7 @@ class SolveResult:
     ``flows`` holds the occupancy MIP's own flows, per flow index (None
     for utility, then each criterion) as {(i, k, state, action): value};
     it is empty for every other verdict.  ``build_seconds`` is the layering
-    (when ``solve_instance`` lays out) plus the model build (0 when none is
+    (through ``solve_instance``) plus the model build (0 when none is
     built), and ``solve_seconds`` the rest."""
 
     status: str
@@ -255,7 +255,7 @@ def _occupancy_layout(layers: LayeredSpace) -> tuple:
     return first, shared
 
 
-def _occupancy_columns(instance: MccSspInstance, layers: LayeredSpace) -> int:
+def _occupancy_columns(layers: LayeredSpace) -> int:
     """Number of columns ``build_ilp`` makes: x blocks per flow index and a
     z block per interaction, and one y column per agent action at each
     (agent, own state, time) slot that two or more interactions hold.
@@ -265,6 +265,7 @@ def _occupancy_columns(instance: MccSspInstance, layers: LayeredSpace) -> int:
     of the members', so an interaction's joint layer k holds each own
     state of each member at time k.  Only a product that underflows to 0
     could leave one out."""
+    instance = layers.instance
     n_blocks = 2 + len(instance.criteria)
     holders = {}
     for layers_i in layers:
@@ -281,12 +282,13 @@ def _occupancy_columns(instance: MccSspInstance, layers: LayeredSpace) -> int:
     )
 
 
-def build_ilp(instance: MccSspInstance, layers: LayeredSpace) -> IlpModel:
+def build_ilp(layers: LayeredSpace) -> IlpModel:
     """Assemble the exact formulation over reachable layers.
 
     Raises BudgetExhausted when the initial states' summed intrinsic risk
     already exceeds a budget.
     """
+    instance = layers.instance
     criteria = instance.criteria
     flow_ids = (None,) + criteria  # None is the utility flow
     n_flows = len(flow_ids)
@@ -475,7 +477,7 @@ class _Schedule:
         return self.steps[key[1]]
 
 
-def build_path_model(instance: MccSspInstance, layers: LayeredSpace) -> PathModel | None:
+def build_path_model(layers: LayeredSpace) -> PathModel | None:
     """The path formulation, or None where it does not apply.
 
     It applies when some agent belongs to two or more interactions, some
@@ -495,13 +497,14 @@ def build_path_model(instance: MccSspInstance, layers: LayeredSpace) -> PathMode
 
     Raises BudgetExhausted as ``build_ilp`` does.
     """
+    instance = layers.instance
     points_of = {}
     for point in instance.interactions:
         for v in point.members:
             points_of.setdefault(v, []).append(point)
     if all(len(points) < 2 for points in points_of.values()):
         return None
-    limit = _occupancy_columns(instance, layers)
+    limit = _occupancy_columns(layers)
     paths = {}
     for v in sorted(instance.agents, key=skey):
         own = layers.own[v]
@@ -718,7 +721,7 @@ def solve(layers: LayeredSpace, time_limit: float | None = None) -> SolveResult:
     result = _dp_certificate(layers)
     if result is None:
         t0 = time.perf_counter()
-        model = build_model(layers.instance, layers)
+        model = build_model(layers)
         t1 = time.perf_counter()
         result = decide(model, time_limit)
         result.build_seconds = t1 - t0
@@ -869,24 +872,20 @@ def _policyless_verdict(layers: LayeredSpace, status: str, decided_by: str, who:
     )
 
 
-def build_model(instance: MccSspInstance, layers: LayeredSpace) -> IlpModel | PathModel:
+def build_model(layers: LayeredSpace) -> IlpModel | PathModel:
     """The model ``decide`` runs HiGHS on: the path model where it applies,
     the occupancy model otherwise.  Raises BudgetExhausted as ``build_ilp``
     does."""
-    model = build_path_model(instance, layers)
-    return build_ilp(instance, layers) if model is None else model
+    model = build_path_model(layers)
+    return build_ilp(layers) if model is None else model
 
 
-def solve_instance(
-    instance: MccSspInstance,
-    layers: LayeredSpace | None = None,
-    time_limit: float | None = None,
-) -> SolveResult:
-    """Validate and lay out the instance when ``layers`` is None, then
-    ``solve`` it; the layering counts toward ``build_seconds``."""
+def solve_instance(instance: MccSspInstance, time_limit: float | None = None) -> SolveResult:
+    """Validate and lay out the instance, then ``solve`` it; the layering
+    counts toward ``build_seconds``.  A caller that holds the layers calls
+    ``solve``."""
     start = time.perf_counter()
-    if layers is None:
-        layers = reachable_layers(instance)
+    layers = reachable_layers(instance)
     layered = time.perf_counter() - start
     result = solve(layers, time_limit=time_limit)
     result.build_seconds += layered

@@ -794,7 +794,7 @@ def simulate(
                     policy = result.policy
                 else:
                     layers = reachable_layers(instance)
-                    policy = fcfs_plan(instance, info.arrival_order, delta, layers)
+                    policy = fcfs_plan(layers, info.arrival_order, delta)
                 plan_s.append(time.perf_counter() - t0)
                 metrics.planning_steps += 1
                 # read each vehicle's step-0 action off its singleton point

@@ -99,7 +99,8 @@ def backward_dp(layers_i: InteractionLayers, criteria: tuple = ()) -> BackwardDp
 
 def dp_optimal_utility(instance: MccSspInstance, layers: LayeredSpace) -> float:
     """Unconstrained finite-horizon optimum, summed over interaction
-    points: an upper bound on the constrained optimum."""
+    points: an upper bound on the constrained optimum.  ``instance`` is
+    unused, and kept because ``perfbench/tests/test_checks.py`` passes it."""
     return sum(backward_dp(layers_i).value for layers_i in layers)
 
 
@@ -107,7 +108,7 @@ def dp_optimal_utility(instance: MccSspInstance, layers: LayeredSpace) -> float:
 # exhaustive deterministic-policy search
 
 
-def _active_slots(instance: MccSspInstance, layers: LayeredSpace) -> dict:
+def _active_slots(layers: LayeredSpace) -> dict:
     """Slots (agent, own-state value, k) where action consistency binds.
 
     A slot is active when two or more interaction points share the agent
@@ -269,11 +270,7 @@ def _pareto_prune(cands):
     return [cands[idx] for idx in sorted(kept)]
 
 
-def brute_force_optimal(
-    instance: MccSspInstance,
-    layers: LayeredSpace,
-    cap: int = 10_000_000,
-) -> BruteForceResult:
+def brute_force_optimal(layers: LayeredSpace, cap: int = 10_000_000) -> BruteForceResult:
     """Feasible deterministic-policy maximizer by exhaustive enumeration.
 
     Interactions sharing agents are combined with the action-consistency
@@ -281,6 +278,7 @@ def brute_force_optimal(
     search over per-interaction candidates.  Ties favor the earliest
     assignment in lexicographic enumeration order.
     """
+    instance = layers.instance
     criteria = instance.criteria
     budgets = [instance.risk_budgets[j] for j in criteria]
 
@@ -293,7 +291,7 @@ def brute_force_optimal(
                 f"deterministic-policy count exceeds the cap of {cap}"
             )
 
-    slots = _active_slots(instance, layers)
+    slots = _active_slots(layers)
 
     slot_index = {}
     for slot in sorted(slots, key=skey):
@@ -388,12 +386,7 @@ def brute_force_optimal(
 # first-come-first-serve baseline
 
 
-def fcfs_plan(
-    instance: MccSspInstance,
-    arrival_order: list,
-    per_action_bound: float,
-    layers: LayeredSpace,
-) -> Policy:
+def fcfs_plan(layers: LayeredSpace, arrival_order: list, per_action_bound: float) -> Policy:
     """Grant agents their best action in arrival order under a per-action
     risk bound.
 
@@ -404,6 +397,7 @@ def fcfs_plan(
     prefer the lower speed.  Agents with a single action are committed
     as-is (uncontrollable traffic).
     """
+    instance = layers.instance
     # uncontrollable agents (obstacles, scripted traffic) are facts, not
     # requests: their single action is granted before any queued agent
     granted: dict = {

@@ -496,15 +496,11 @@ def step_probability_matrix(
     return out
 
 
-def window_risk(
-    step_matrix: np.ndarray,
-    q1: int,
-    q2: int,
-    window: int,
-) -> float:
+def window_risk(step_matrix: np.ndarray, q1: int, q2: int) -> float:
     """Window risk for axis values (q1, q2) over a step-probability matrix;
     axis 0 stays frozen at index 0, q >= 1 advances from index q - 1, and
-    indices past the tube end are skipped (departed).
+    indices past the tube end are skipped (departed).  The window runs to
+    the end of both tubes.
 
     Two frozen vehicles hold a single static position pair, so their risk
     is the one-shot overlap probability, not a per-step compound."""
@@ -517,17 +513,18 @@ def window_risk(
         steps = ahead[:, 0]
     else:
         steps = ahead.diagonal()
-    return state_risk_tilde(steps[: window + 1].tolist())
+    return state_risk_tilde(steps.tolist())
 
 
-def window_risk_table(step_matrix: np.ndarray, window: int) -> np.ndarray:
+def window_risk_table(step_matrix: np.ndarray) -> np.ndarray:
     """``window_risk`` at every pair of axis values: a (len1 + 1) x
-    (len2 + 1) table for a (len1, len2) step-probability matrix."""
+    (len2 + 1) table for a (len1, len2) step-probability matrix, each
+    window running to the end of both tubes."""
     len1, len2 = step_matrix.shape
     table = np.zeros((len1 + 1, len2 + 1))
     for q1 in range(len1 + 1):
         for q2 in range(len2 + 1):
-            table[q1, q2] = window_risk(step_matrix, q1, q2, window)
+            table[q1, q2] = window_risk(step_matrix, q1, q2)
     return table
 
 
@@ -558,7 +555,7 @@ def sample_pair_risk(
     ``key`` names the pair, with ``p1`` and ``p2`` in its order.  The
     pair's sample streams are seeded from ``seed`` and an md5 of
     ``repr(key)``, so a pair's table does not depend on which other pairs
-    are sampled, and the window spans the longer tube."""
+    are sampled, and each window runs to the end of both tubes."""
     digest = hashlib.md5(repr(key).encode()).digest()
     pair_seed = int(
         np.random.SeedSequence((seed, int.from_bytes(digest[:8], "little"))).generate_state(1)[0]
@@ -566,7 +563,7 @@ def sample_pair_risk(
     matrix = step_probability_matrix(p1, p2, geometry, geometry, n=n, seed=pair_seed)
     if not matrix.any():
         return None
-    return PairRisk(key, matrix, window_risk_table(matrix, max(len(p1), len(p2))))
+    return PairRisk(key, matrix, window_risk_table(matrix))
 
 
 # ---------------------------------------------------------------------------

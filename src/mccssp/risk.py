@@ -152,7 +152,8 @@ def execution_risk(
     """Total execution risk from the initial state: the sum of the
     per-interaction recursions (see ``score_policy``).  The sum is exact
     when no agent pair can fail at two interaction points, and an upper
-    bound otherwise.
+    bound otherwise.  ``instance`` is unused, and kept because
+    ``perfbench/tests/test_checks.py`` passes it.
     """
     return score_policy(layers, policy, (criterion,))[1][criterion]
 
@@ -161,16 +162,12 @@ def expected_utility(
     instance: MccSspInstance, layers: LayeredSpace, policy: Policy
 ) -> float:
     """Expected cumulative utility over decision steps 0..h-1 (see
-    ``score_policy``)."""
+    ``score_policy``).  ``instance`` is unused, and kept because
+    ``perfbench/tests/test_checks.py`` passes it."""
     return score_policy(layers, policy)[0]
 
 
-def policy_flows(
-    instance: MccSspInstance,
-    layers: LayeredSpace,
-    policy: Policy,
-    criterion: Criterion | None,
-) -> dict:
+def policy_flows(layers: LayeredSpace, policy: Policy, criterion: Criterion | None) -> dict:
     """Occupancy flows induced by a policy: x[(i, k, state, action)].
 
     For ``criterion=None`` flows follow the plain transitions (the j = 0
@@ -197,12 +194,7 @@ def policy_flows(
     return flows
 
 
-def linear_risk_from_flows(
-    instance: MccSspInstance,
-    layers: LayeredSpace,
-    flows: Mapping,
-    criterion: Criterion,
-) -> float:
+def linear_risk_from_flows(layers: LayeredSpace, flows: Mapping, criterion: Criterion) -> float:
     """Linear form of the execution risk at the initial state, evaluated on
     flows that satisfy the tilded conservation equations for ``criterion``:
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ilp import solve_instance
+from .ilp import solve
 from .model import (
     AgentMdp,
     InteractionPoint,
@@ -33,7 +33,7 @@ from .model import (
     within,
 )
 from .oracles import CapExceeded, brute_force_optimal
-from .risk import execution_risk, linear_risk_from_flows, policy_flows
+from .risk import linear_risk_from_flows, policy_flows, score_policy
 
 log = logging.getLogger(__name__)
 
@@ -235,8 +235,8 @@ class EquivalenceReport:
 def check_instance(instance: MccSspInstance, cap: int, report: EquivalenceReport) -> None:
     """Cross-check the solver against the brute-force oracle on one instance."""
     layers = reachable_layers(instance)
-    result = solve_instance(instance, layers)
-    oracle = brute_force_optimal(instance, layers, cap=cap)
+    result = solve(layers)
+    oracle = brute_force_optimal(layers, cap=cap)
     if result.decided_by == "dp":
         report.dp_decided += 1
     elif result.decided_by == "paths":
@@ -275,10 +275,10 @@ def check_instance(instance: MccSspInstance, cap: int, report: EquivalenceReport
     # only the occupancy MIP returns flows; check any other verdict on the
     # policy's own occupancies
     flows = result.flows or {
-        j: policy_flows(instance, layers, result.policy, j) for j in instance.criteria
+        j: policy_flows(layers, result.policy, j) for j in instance.criteria
     }
-    for j in instance.criteria:
-        risk = execution_risk(instance, layers, result.policy, j)
+    _, risks = score_policy(layers, result.policy, instance.criteria)
+    for j, risk in risks.items():
         excess = risk - instance.risk_budgets[j]
         report.max_budget_excess = max(report.max_budget_excess, excess)
         if not within(risk, instance.risk_budgets[j]):
@@ -286,7 +286,7 @@ def check_instance(instance: MccSspInstance, cap: int, report: EquivalenceReport
                 f"policy risk {risk!r} exceeds budget {instance.risk_budgets[j]!r} ({j})"
             )
         # linear expression at the solver's flows vs the recursion
-        linear = linear_risk_from_flows(instance, layers, flows[j], j)
+        linear = linear_risk_from_flows(layers, flows[j], j)
         lgap = abs(linear - risk)
         report.max_linear_form_gap = max(report.max_linear_form_gap, lgap)
         if not agree(linear, risk):

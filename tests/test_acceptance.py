@@ -19,7 +19,7 @@ from scipy.stats import spearmanr, wilcoxon
 
 from mccssp import grid
 from mccssp.grid import GridSpec, benchmark_rows, generate_grid_instance
-from mccssp.ilp import build_ilp, decide, solve_instance
+from mccssp.ilp import build_ilp, decide, solve
 from mccssp.intersection import (
     VehicleState,
     build_intersection_instance,
@@ -47,15 +47,15 @@ def _record_decided(monkeypatch, verdicts):
     from mccssp import selftest
 
     decided = []
-    solve = selftest.solve_instance
+    solve = selftest.solve
 
-    def recording_solve(instance, *args, **kwargs):
-        result = solve(instance, *args, **kwargs)
+    def recording_solve(layers, *args, **kwargs):
+        result = solve(layers, *args, **kwargs)
         if result.decided_by in verdicts:
-            decided.append((instance, result))
+            decided.append((layers.instance, result))
         return result
 
-    monkeypatch.setattr(selftest, "solve_instance", recording_solve)
+    monkeypatch.setattr(selftest, "solve", recording_solve)
     return decided
 
 
@@ -66,7 +66,7 @@ def _occupancy_mip_gap(decided):
     objective gap."""
     mip_gap = 0.0
     for instance, result in decided:
-        by_mip = decide(build_ilp(instance, reachable_layers(instance)))
+        by_mip = decide(build_ilp(reachable_layers(instance)))
         assert by_mip.status == result.status
         if result.status == "optimal":
             assert agree(by_mip.objective, result.objective), (by_mip.objective, result)
@@ -143,9 +143,9 @@ def test_linear_risk_identity_on_random_flows():
             assign[li.id] = table
         policy = Policy(assign)
         for j in inst.criteria:
-            flows = policy_flows(inst, layers, policy, j)
+            flows = policy_flows(layers, policy, j)
             gap = abs(
-                linear_risk_from_flows(inst, layers, flows, j)
+                linear_risk_from_flows(layers, flows, j)
                 - execution_risk(inst, layers, policy, j)
             )
             worst = max(worst, gap)
@@ -167,8 +167,8 @@ def test_chain_closed_form():
         {0: {(s, k): ("go",) for k, s in li.decision_points()}}
     )
     recursion = execution_risk(inst, layers, policy, "col")
-    flows = policy_flows(inst, layers, policy, "col")
-    linear = linear_risk_from_flows(inst, layers, flows, "col")
+    flows = policy_flows(layers, policy, "col")
+    linear = linear_risk_from_flows(layers, flows, "col")
     assert abs(recursion - 0.271) <= CHAIN_TOL
     assert abs(linear - 0.271) <= CHAIN_TOL
     print(
@@ -188,8 +188,8 @@ def test_ambient_size_invariance():
         )
         inst = generate_grid_instance(spec)
         layers = reachable_layers(inst)
-        model = build_ilp(inst, layers)
-        result = solve_instance(inst, layers)
+        model = build_ilp(layers)
+        result = solve(layers)
         shapes[width] = (
             model.x_count,
             model.z_count,
@@ -305,11 +305,11 @@ def test_planning_time_envelope_16_avs():
             scenario, vehicles, green_side="N", horizon=h, delta=0.05
         )
         layers = reachable_layers(inst)
-        result = solve_instance(inst, layers, time_limit=None if h == 1 else 20.0)
+        result = solve(layers, time_limit=None if h == 1 else 20.0)
         status, preprocess, solve_s = result.status, result.build_seconds, result.solve_seconds
         if h == 1:
             for _ in range(3):
-                r = solve_instance(inst, layers)
+                r = solve(layers)
                 h1_times.append(r.build_seconds + r.solve_seconds)
         verdicts[h] = (status, result.decided_by)
         objectives[h] = result.objective

@@ -13,7 +13,7 @@ from mccssp.grid import (
     cell_utility,
     generate_grid_instance,
 )
-from mccssp.ilp import solve_instance
+from mccssp.ilp import solve, solve_instance
 from mccssp.model import reachable_layers, validate_instance
 from mccssp.oracles import dp_optimal_utility
 
@@ -65,7 +65,7 @@ def test_riskless_grid_matches_value_iteration():
     )
     inst = generate_grid_instance(spec)
     layers = reachable_layers(inst)
-    result = solve_instance(inst, layers)
+    result = solve(layers)
     assert result.status == "optimal"
     assert abs(result.objective - dp_optimal_utility(inst, layers)) < 1e-9
 
@@ -134,6 +134,22 @@ def test_width_height_capacity_validation():
         GridSpec(n_agents=-1).validate()
     with pytest.raises(ValueError, match="horizon must be an integer >= 1, got 2.5"):
         GridSpec(horizon=2.5).validate()
+    # probabilities are non-bool numbers in [0, 1]
+    for name, value in (("risk_budget", "0.1"), ("risky_fraction", None), ("risk_budget", True),
+                        ("risky_risk_value", float("nan"))):
+        with pytest.raises(ValueError, match=f"{name} must be a number in \\[0, 1\\]"):
+            GridSpec(**{name: value}).validate()
+    # each start is a pair of non-bool integers inside the grid, one per agent
+    for starts in ([(2.5, 3)], [(True, 3)], [(50, 0)], [(0, -1)], [(1, 2, 3)], ["ab"], [5]):
+        spec = GridSpec(width=50, height=50, n_agents=1, horizon=2, start_positions=starts)
+        with pytest.raises(ValueError, match="not an integer cell in the grid"):
+            spec.validate()
+        with pytest.raises(ValueError, match="start_positions"):
+            generate_grid_instance(spec)
+    for starts in ([], [(0, 0), (1, 1)]):
+        with pytest.raises(ValueError, match=f"start_positions has {len(starts)} cells"):
+            GridSpec(n_agents=1, start_positions=starts).validate()
+    GridSpec(width=50, height=50, n_agents=2, start_positions=[(49, 0), [0, 49]]).validate()
 
 
 def test_layout_hashes_each_cell_utility_once(monkeypatch):

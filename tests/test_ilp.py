@@ -20,6 +20,7 @@ from mccssp.ilp import (
     build_model,
     build_path_model,
     decide,
+    solve,
     solve_instance,
 )
 from mccssp.io import load_instance
@@ -37,7 +38,7 @@ from mccssp.risk import execution_risk, expected_utility, linear_risk_from_flows
 
 
 def test_variable_counts_match_closed_form(risky_safe):
-    model = build_ilp(risky_safe, reachable_layers(risky_safe))
+    model = build_ilp(reachable_layers(risky_safe))
     # (|J|+1) * sum_i sum_k |layer| * |A| and the same without the flows
     assert model.x_count == 4
     assert model.z_count == 2
@@ -59,7 +60,7 @@ def test_budget_exhausted_when_initial_risk_exceeds_budget():
     )
     inst = MccSspInstance({"v": agent}, (point,), 1, {"j": 0.1})
     with pytest.raises(BudgetExhausted, match="'j': 0.2"):
-        build_ilp(inst, reachable_layers(inst))
+        build_ilp(reachable_layers(inst))
     assert solve_instance(inst).status == "budget_exhausted"
 
 
@@ -79,9 +80,9 @@ def test_initial_risk_within_tol_of_the_budget_leaves_it_open():
     )
     inst = MccSspInstance({"v": agent, "w": agent}, points, 1, {"j": 0.3})
     layers = reachable_layers(inst)
-    result = solve_instance(inst, layers)
+    result = solve(layers)
     assert (result.status, result.risks["j"]) == ("optimal", 0.1 + 0.2)
-    oracle = brute_force_optimal(inst, layers)
+    oracle = brute_force_optimal(layers)
     assert (oracle.status, oracle.objective) == ("optimal", result.objective)
 
 
@@ -102,21 +103,21 @@ def test_solve_picks_risky_under_loose_budget():
 def test_zero_risk_equals_value_iteration():
     inst = make_chain_instance(risk=0.0)
     layers = reachable_layers(inst)
-    result = solve_instance(inst, layers)
+    result = solve(layers)
     assert abs(result.objective - dp_optimal_utility(inst, layers)) < 1e-9
 
 
 def test_linear_form_identity_at_optimum():
     inst = make_risky_safe_instance(delta=0.3, horizon=2)
     layers = reachable_layers(inst)
-    result = solve_instance(inst, layers)
+    result = solve(layers)
     # only the occupancy MIP returns flows; any other verdict is checked on
     # the policy's own occupancies
     flows = result.flows or {
-        j: policy_flows(inst, layers, result.policy, j) for j in inst.criteria
+        j: policy_flows(layers, result.policy, j) for j in inst.criteria
     }
     for j in inst.criteria:
-        linear = linear_risk_from_flows(inst, layers, flows[j], j)
+        linear = linear_risk_from_flows(layers, flows[j], j)
         recursion = execution_risk(inst, layers, result.policy, j)
         assert abs(linear - recursion) < 1e-9
 
@@ -146,7 +147,7 @@ def _shared_agent_instance():
 
 def test_consistency_variables_for_shared_agents():
     inst = _shared_agent_instance()
-    model = build_ilp(inst, reachable_layers(inst))
+    model = build_ilp(reachable_layers(inst))
     cons_rows = [r for r in model.matrix.rows if r[0].startswith("cons_")]
     y_cols = [n for n in model.matrix.col_names if n.startswith("y_")]
     assert len(y_cols) == 2  # one selector per shared-agent action
@@ -156,8 +157,8 @@ def test_consistency_variables_for_shared_agents():
 def _certified(instance):
     """Solve and brute-force one instance; the two must agree."""
     layers = reachable_layers(instance)
-    result = solve_instance(instance, layers)
-    oracle = brute_force_optimal(instance, layers)
+    result = solve(layers)
+    oracle = brute_force_optimal(layers)
     assert result.status == oracle.status
     if oracle.status == "optimal":
         assert abs(result.objective - oracle.objective) < 1e-6
@@ -214,7 +215,7 @@ BINDING = dict(width=50, height=50, risky_fraction=0.3, risky_risk_value=0.3,
 )
 def test_lp_export_reads_back_into_highs(make, tmp_path):
     inst = make()
-    matrix = build_ilp(inst, reachable_layers(inst)).matrix
+    matrix = build_ilp(reachable_layers(inst)).matrix
     path = tmp_path / "model.lp"
     path.write_text(matrix.to_lp_text())
     solver = highs._Highs()
@@ -271,7 +272,7 @@ def test_shared_stochastic_agent_goes_to_the_occupancy_mip():
         transition={(s, a): {0: 0.5, 1: 0.5} for s in (0, 1) for a in ("x", "y")},
     )
     inst = dataclasses.replace(inst, agents={**inst.agents, "s": coin})
-    assert build_path_model(inst, reachable_layers(inst)) is None
+    assert build_path_model(reachable_layers(inst)) is None
     result, _ = _certified(inst)
     assert (result.status, result.decided_by) == ("optimal", "mip")
 
@@ -282,10 +283,10 @@ def test_occupancy_verdict_objective_is_its_policy_utility():
     # returned, 10.3914084083863, which is the oracle's optimum
     inst = load_instance(str(Path(__file__).parent / "data" / "selftest_seed3_instance54.json"))
     layers = reachable_layers(inst)
-    result = solve_instance(inst, layers)
+    result = solve(layers)
     assert (result.status, result.decided_by) == ("optimal", "mip")
     assert result.objective == expected_utility(inst, layers, result.policy)
-    assert agree(result.objective, brute_force_optimal(inst, layers).objective)
+    assert agree(result.objective, brute_force_optimal(layers).objective)
 
 
 def test_no_incumbent_with_unsafe_default_raises(highs_stops_without_incumbent):
@@ -300,7 +301,7 @@ def test_no_incumbent_with_unsafe_default_raises(highs_stops_without_incumbent):
 def test_extracted_policy_deterministic_and_default_on_zero_flow():
     inst = make_risky_safe_instance(delta=0.1, horizon=2)
     layers = reachable_layers(inst)
-    result = solve_instance(inst, layers)
+    result = solve(layers)
     li = layers.per_interaction[0]
     seen = set()
     for k, s in li.decision_points():
@@ -313,13 +314,13 @@ def test_extracted_policy_deterministic_and_default_on_zero_flow():
 
 
 def test_matrix_adapter_counts_and_roundtrip(risky_safe):
-    matrix = build_ilp(risky_safe, reachable_layers(risky_safe)).matrix
+    matrix = build_ilp(reachable_layers(risky_safe)).matrix
     assert matrix.n_cols == 6  # 4 continuous + 2 binary
     assert sum(matrix.integrality) == 2
 
 
 def test_lp_text_export(risky_safe):
-    model = build_ilp(risky_safe, reachable_layers(risky_safe))
+    model = build_ilp(reachable_layers(risky_safe))
     text = model.matrix.to_lp_text()
     assert text.startswith("Maximize")
     assert "Binaries" in text and "End" in text
@@ -353,7 +354,7 @@ def test_ilp_dimensions_invariant_to_ambient_grid():
             start_positions=[(40, 40), (60, 60)],
         )
         inst = generate_grid_instance(spec)
-        model = build_ilp(inst, reachable_layers(inst))
+        model = build_ilp(reachable_layers(inst))
         shapes[width] = (model.x_count, model.z_count, model.matrix.n_rows)
     assert shapes[100] == shapes[10_000]
 
@@ -375,7 +376,7 @@ def _path_family(n, seed=7):
 def test_path_model_of_the_shared_agent_instance():
     # "s" has two actions to the same successor: one path, the better one
     inst = _shared_agent_instance()
-    model = build_path_model(inst, reachable_layers(inst))
+    model = build_path_model(reachable_layers(inst))
     assert model.paths == {"s": [((0, 1), ("x",))]}
     assert (model.matrix.n_cols, int(model.matrix.integrality.sum())) == (1, 1)
     result = decide(model)
@@ -397,7 +398,7 @@ def _exhausted_shared_agent_instance():
 def test_path_model_keeps_the_budget_exhausted_check():
     inst = _exhausted_shared_agent_instance()
     with pytest.raises(BudgetExhausted):
-        build_path_model(inst, reachable_layers(inst))
+        build_path_model(reachable_layers(inst))
     assert solve_instance(inst).status == "budget_exhausted"
 
 
@@ -418,7 +419,7 @@ def test_constant_only_path_model_is_checked_against_the_budget(budget, status):
         inst, agents={**inst.agents, "s": fixed},
         interactions=(inst.interactions[0], point), risk_budgets={"j": budget},
     )
-    assert build_path_model(inst, reachable_layers(inst)) is None
+    assert build_path_model(reachable_layers(inst)) is None
     result, _ = _certified(inst)
     assert (result.status, result.decided_by) == (status, "mip")
 
@@ -445,11 +446,11 @@ def _over_budget_case(go):
         )
 
     loose = make(1.0)
-    model = build_model(loose, reachable_layers(loose))
+    model = build_model(reachable_layers(loose))
     answer = ScipyHighsBackend().solve(model.matrix)
     result = decide(model)
     tight = make(result.risks["j"] - 10 * TOL)
-    tight_model = build_model(tight, reachable_layers(tight))
+    tight_model = build_model(reachable_layers(tight))
     assert tight_model.matrix.n_cols == model.matrix.n_cols
     return model, answer, result, tight_model
 
@@ -511,11 +512,11 @@ def test_path_model_needs_no_more_columns_than_the_occupancy_model():
     for inst in _path_family(30):
         layers = reachable_layers(inst)
         try:
-            model = build_path_model(inst, layers)
+            model = build_path_model(layers)
         except BudgetExhausted:
             continue
         if model is not None:
-            assert model.matrix.n_cols <= build_ilp(inst, layers).matrix.n_cols
+            assert model.matrix.n_cols <= build_ilp(layers).matrix.n_cols
             decided += 1
     assert decided > 10
 
@@ -524,7 +525,7 @@ def test_path_model_lp_export_reads_back_into_highs(tmp_path):
     exported = 0
     for inst in _path_family(10):
         try:
-            model = build_path_model(inst, reachable_layers(inst))
+            model = build_path_model(reachable_layers(inst))
         except BudgetExhausted:
             continue
         matrix = model.matrix
@@ -541,7 +542,7 @@ def test_path_model_lp_export_reads_back_into_highs(tmp_path):
 
 
 def test_backend_turns_feasibility_jump_off_without_warning(risky_safe, highs_runs):
-    matrix = build_ilp(risky_safe, reachable_layers(risky_safe)).matrix
+    matrix = build_ilp(reachable_layers(risky_safe)).matrix
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert ScipyHighsBackend().solve(matrix)[0] == "optimal"
@@ -703,7 +704,7 @@ def test_agent_beside_a_branching_agent_is_left_to_the_occupancy_mip():
         InteractionPoint(1, ("h",), (False,), {}),
     )
     inst = MccSspInstance({"a": a, "h": h}, points, 2, {"j": 0.3})
-    assert build_path_model(inst, reachable_layers(inst)) is None
+    assert build_path_model(reachable_layers(inst)) is None
     result, _ = _certified(inst)
     assert (result.status, result.decided_by) == ("optimal", "mip")
     assert result.objective == pytest.approx(0.5)

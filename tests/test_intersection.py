@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mccssp import intersection
-from mccssp.ilp import build_ilp, decide, solve_instance
+from mccssp.ilp import build_ilp, decide, solve, solve_instance
 from mccssp.intersection import (
     Scenario,
     ScenarioConfig,
@@ -137,8 +137,8 @@ def test_ilp_matches_brute_force_on_conflict_pair(small_scenario):
         small_scenario, vehicles, green_side="N", horizon=1, delta=0.05
     )
     layers = reachable_layers(inst)
-    result = solve_instance(inst, layers)
-    oracle = brute_force_optimal(inst, layers)
+    result = solve(layers)
+    oracle = brute_force_optimal(layers)
     assert abs(result.objective - oracle.objective) < 1e-6
 
 
@@ -292,8 +292,8 @@ def test_build_samples_every_pair_table_planning_needs(monkeypatch):
         lambda *args, **kwargs: calls.append(args) or sample(*args, **kwargs),
     )
     layers = reachable_layers(inst)
-    assert solve_instance(inst, layers).status == "optimal"
-    fcfs_plan(inst, info.arrival_order, 0.05, layers)
+    assert solve(layers).status == "optimal"
+    fcfs_plan(layers, info.arrival_order, 0.05)
     assert calls == []
 
 
@@ -380,8 +380,8 @@ def test_simulated_steps_solve_alike_by_paths_and_occupancy(
     worst = 0.0
     for instance in instances:
         layers = reachable_layers(instance)
-        by_paths = solve_instance(instance, layers)
-        by_occupancy = decide(build_ilp(instance, layers))
+        by_paths = solve(layers)
+        by_occupancy = decide(build_ilp(layers))
         assert by_paths.decided_by == "paths"
         assert by_paths.status == by_occupancy.status == "optimal"
         gap = abs(by_paths.objective - by_occupancy.objective)
@@ -518,8 +518,8 @@ def test_pruned_instances_plan_like_full_ones(small_scenario, monkeypatch, horiz
         dropped += len(f_info.pair_ids) - len(p_info.pair_ids)
         without_pairs += not p_info.pair_ids
         p_layers, f_layers = reachable_layers(p_inst), reachable_layers(f_inst)
-        p_result = solve_instance(p_inst, p_layers)
-        f_result = solve_instance(f_inst, f_layers)
+        p_result = solve(p_layers)
+        f_result = solve(f_layers)
         assert p_result.status == f_result.status == "optimal"
         gap = abs(p_result.objective - f_result.objective)
         assert gap <= TOL * max(1.0, abs(f_result.objective))
@@ -532,8 +532,8 @@ def test_pruned_instances_plan_like_full_ones(small_scenario, monkeypatch, horiz
         )
         assert f_risk == p_risk
         # first come, first served grants the same actions either way
-        p_fcfs = fcfs_plan(p_inst, p_info.arrival_order, p_inst.risk_budgets["collision"], p_layers)
-        f_fcfs = fcfs_plan(f_inst, f_info.arrival_order, f_inst.risk_budgets["collision"], f_layers)
+        p_fcfs = fcfs_plan(p_layers, p_info.arrival_order, p_inst.risk_budgets["collision"])
+        f_fcfs = fcfs_plan(f_layers, f_info.arrival_order, f_inst.risk_budgets["collision"])
         for vid, pid in p_info.singleton_ids.items():
             initial = (p_inst.agents[vid].initial_state,)
             assert p_fcfs.action(pid, initial, 0) == f_fcfs.action(pid, initial, 0)
@@ -570,8 +570,8 @@ def test_built_steps_roundtrip_json_and_plan_alike(small_scenario, monkeypatch, 
 
     def plan(instance, info):
         layers = reachable_layers(instance)
-        result = solve_instance(instance, layers)
-        fcfs = fcfs_plan(instance, info.arrival_order, 0.05, layers)
+        result = solve(layers)
+        fcfs = fcfs_plan(layers, info.arrival_order, 0.05)
         step0 = {
             vid: (
                 result.policy.action(pid, (instance.agents[vid].initial_state,), 0),

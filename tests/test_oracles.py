@@ -24,7 +24,7 @@ from mccssp.selftest import random_instance
 
 def test_brute_force_risky_safe_tight_budget():
     inst = make_risky_safe_instance(delta=0.1)
-    result = brute_force_optimal(inst, reachable_layers(inst))
+    result = brute_force_optimal(reachable_layers(inst))
     assert result.status == "optimal"
     assert result.objective == 1.0
     assert result.risks["col"] == 0.0
@@ -32,7 +32,7 @@ def test_brute_force_risky_safe_tight_budget():
 
 def test_brute_force_risky_safe_loose_budget():
     inst = make_risky_safe_instance(delta=0.3)
-    result = brute_force_optimal(inst, reachable_layers(inst))
+    result = brute_force_optimal(reachable_layers(inst))
     assert result.objective == 10.0
     assert abs(result.risks["col"] - 0.2) < 1e-12
 
@@ -40,7 +40,7 @@ def test_brute_force_risky_safe_loose_budget():
 def test_brute_force_matches_value_iteration_on_zero_risk():
     inst = make_chain_instance(risk=0.0)
     layers = reachable_layers(inst)
-    result = brute_force_optimal(inst, layers)
+    result = brute_force_optimal(layers)
     assert abs(result.objective - dp_optimal_utility(inst, layers)) < 1e-12
 
 
@@ -56,7 +56,7 @@ def test_brute_force_reports_infeasible():
         0, ("v",), (True,), {"j": StateRisk.from_aggregate({("t",): 0.5})}
     )
     inst = MccSspInstance({"v": agent}, (point,), 1, {"j": 0.1})
-    result = brute_force_optimal(inst, reachable_layers(inst))
+    result = brute_force_optimal(reachable_layers(inst))
     assert result.status == "infeasible"
     assert result.policy is None
 
@@ -64,7 +64,7 @@ def test_brute_force_reports_infeasible():
 def test_cap_exceeded():
     inst = make_risky_safe_instance(delta=0.3, horizon=3)
     with pytest.raises(CapExceeded):
-        brute_force_optimal(inst, reachable_layers(inst), cap=1)
+        brute_force_optimal(reachable_layers(inst), cap=1)
 
 
 def test_restricted_policy_count_on_chain():
@@ -109,32 +109,32 @@ def _two_agent_conflict(delta, pair_risk=0.15):
 def test_fcfs_first_granted_second_waits():
     inst = _two_agent_conflict(delta=0.1)
     layers = reachable_layers(inst)
-    policy = fcfs_plan(inst, ["u", "v"], 0.1, layers)
+    policy = fcfs_plan(layers, ["u", "v"], 0.1)
     joint = policy.action(0, ("u_wait", "v_wait"), 0)
     assert joint == ("go", "wait")
 
 
 def test_fcfs_arrival_order_matters():
     inst = _two_agent_conflict(delta=0.1)
-    policy = fcfs_plan(inst, ["v", "u"], 0.1, reachable_layers(inst))
+    policy = fcfs_plan(reachable_layers(inst), ["v", "u"], 0.1)
     assert policy.action(0, ("u_wait", "v_wait"), 0) == ("wait", "go")
 
 
 def test_fcfs_grants_all_when_no_conflict():
     inst = _two_agent_conflict(delta=0.1, pair_risk=0.0)
-    policy = fcfs_plan(inst, ["u", "v"], 0.1, reachable_layers(inst))
+    policy = fcfs_plan(reachable_layers(inst), ["u", "v"], 0.1)
     assert policy.action(0, ("u_wait", "v_wait"), 0) == ("go", "go")
 
 
 def test_fcfs_vacuous_bound_grants_everything():
     inst = _two_agent_conflict(delta=1.0)
-    policy = fcfs_plan(inst, ["u", "v"], 1.0, reachable_layers(inst))
+    policy = fcfs_plan(reachable_layers(inst), ["u", "v"], 1.0)
     assert policy.action(0, ("u_wait", "v_wait"), 0) == ("go", "go")
 
 
 def test_fcfs_requires_wait_action():
     inst = make_chain_instance()  # single action, fine
-    fcfs_plan(inst, ["c"], 0.5, reachable_layers(inst))
+    fcfs_plan(reachable_layers(inst), ["c"], 0.5)
     bad_agent = AgentMdp(
         states={0, 1},
         actions=("a", "b"),
@@ -146,7 +146,7 @@ def test_fcfs_requires_wait_action():
         {"v": bad_agent}, (InteractionPoint(0, ("v",), (True,), {}),), 1, {"j": 1.0}
     )
     with pytest.raises(MissingWaitAction):
-        fcfs_plan(inst2, ["v"], 0.5, reachable_layers(inst2))
+        fcfs_plan(reachable_layers(inst2), ["v"], 0.5)
 
 
 def test_fcfs_never_beats_brute_force():
@@ -157,10 +157,10 @@ def test_fcfs_never_beats_brute_force():
             delta=float(rng.uniform(0, 0.4)), pair_risk=float(rng.uniform(0, 0.4))
         )
         layers = reachable_layers(inst)
-        bf = brute_force_optimal(inst, layers)
+        bf = brute_force_optimal(layers)
         if bf.status != "optimal":
             continue
-        fcfs = fcfs_plan(inst, ["u", "v"], inst.risk_budgets["j"], layers)
+        fcfs = fcfs_plan(layers, ["u", "v"], inst.risk_budgets["j"])
         assert bf.objective >= expected_utility(inst, layers, fcfs) - 1e-9
         checked += 1
 
@@ -174,7 +174,7 @@ def test_brute_force_policies_respect_budgets():
             continue
         layers = reachable_layers(inst)
         try:
-            result = brute_force_optimal(inst, layers, cap=50_000)
+            result = brute_force_optimal(layers, cap=50_000)
         except CapExceeded:
             continue
         if result.status == "optimal":

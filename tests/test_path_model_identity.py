@@ -13,6 +13,7 @@ from mccssp.ilp import (
     _occupancy_columns,
     build_ilp,
     build_path_model,
+    solve,
     solve_instance,
 )
 from mccssp.model import reachable_layers, validate_instance
@@ -48,7 +49,7 @@ def _hexed(value):
 def _assert_combinations_match(instance):
     layers = reachable_layers(instance)
     try:
-        model = build_path_model(instance, layers)
+        model = build_path_model(layers)
     except BudgetExhausted:
         return 0
     if model is None:
@@ -106,10 +107,10 @@ def test_occupancy_column_count_read_off_own_rows(small_scenario, monkeypatch):
             continue
         layers = reachable_layers(instance)
         try:
-            matrix = build_ilp(instance, layers).matrix
+            matrix = build_ilp(layers).matrix
         except BudgetExhausted:
             continue
-        assert _occupancy_columns(instance, layers) == matrix.n_cols
+        assert _occupancy_columns(layers) == matrix.n_cols
         counted += 1
     assert counted > 150
 
@@ -153,7 +154,7 @@ def test_matrix_assembly_equals_the_coordinate_form(seed):
 
 def _assert_path_risks_are_the_policy_recursion(instance):
     layers = reachable_layers(instance)
-    result = solve_instance(instance, layers)
+    result = solve(layers)
     if result.decided_by != "paths" or result.policy is None:
         return 0
     for j, value in result.risks.items():

@@ -202,8 +202,8 @@ def test_linear_form_matches_recursion_on_random_policies():
         layers = reachable_layers(inst)
         policy = _random_stochastic_policy(layers, rng)
         for j in inst.criteria:
-            flows = policy_flows(inst, layers, policy, j)
-            linear = linear_risk_from_flows(inst, layers, flows, j)
+            flows = policy_flows(layers, policy, j)
+            linear = linear_risk_from_flows(layers, flows, j)
             recursion = execution_risk(inst, layers, policy, j)
             assert abs(linear - recursion) < 1e-9
         checked += 1
